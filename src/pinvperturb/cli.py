@@ -437,10 +437,10 @@ def _scalar(value) -> str:
 
 def _emit_error(args, exc, code: int) -> int:
     if getattr(args, "json", False):
-        payload = {
-            "command": getattr(args, "command", None),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, HypothesisRefusal):
+            error["condition"] = exc.condition
+        payload = {"command": getattr(args, "command", None), "error": error}
         print(json.dumps(payload, indent=2))
     else:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

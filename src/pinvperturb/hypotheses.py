@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisRefusal, InvariantViolation, ShapeMismatchError
-from .linalg import (
-    Tolerances,
-    _tol,
-    as_matrix,
-    null_space_basis,
-    spectral_norm,
-    svd,
-)
+from .errors import HypothesisRefusal, InvariantViolation
+from .linalg import SvdFactors, Tolerances, _pair, _tol, spectral_norm, svd
 from .pinv import PinvResult, pseudoinverse
 
 
@@ -53,18 +46,11 @@ class HypothesisReport:
     verdict_relative: bool
 
 
-def _pair(t, s):
-    mt, ms = as_matrix(t), as_matrix(s)
-    if mt.shape != ms.shape:
-        raise ShapeMismatchError(f"T and S must have equal shapes, got {mt.shape} vs {ms.shape}")
-    return mt, ms
-
-
-def _range_verdict(pr: PinvResult, mt, ms, tol: Tolerances):
+def _range_verdict(pr: PinvResult, mt, ms, norm_s: float, tol: Tolerances):
     """Range inclusion R(S) in R(T) by projection and by TT'S = S."""
     resid_proj = spectral_norm(ms - pr.proj_range @ ms)
     resid_alg = spectral_norm(mt @ (pr.pinv @ ms) - ms)
-    thr = tol.eq(spectral_norm(ms))
+    thr = tol.eq(norm_s)
     v_proj, v_alg = resid_proj <= thr, resid_alg <= thr
     if v_proj != v_alg:
         raise InvariantViolation(
@@ -75,12 +61,12 @@ def _range_verdict(pr: PinvResult, mt, ms, tol: Tolerances):
     return v_proj, resid_proj, resid_alg
 
 
-def _null_verdict(pr: PinvResult, mt, ms, tol: Tolerances):
+def _null_verdict(pr: PinvResult, mt, ms, norm_s: float, tol: Tolerances):
     """Null inclusion N(T) in N(S) by null basis and by ST'T = S."""
-    z = null_space_basis(mt, tol)
+    z = pr.null_basis
     resid_basis = spectral_norm(ms @ z) if z.shape[1] else 0.0
     resid_alg = spectral_norm((ms @ pr.pinv) @ mt - ms)
-    thr = tol.eq(spectral_norm(ms))
+    thr = tol.eq(norm_s)
     v_basis, v_alg = resid_basis <= thr, resid_alg <= thr
     if v_basis != v_alg:
         raise InvariantViolation(
@@ -95,7 +81,8 @@ def check_range_inclusion(t, s, tol: Tolerances | None = None) -> tuple[bool, fl
     """Decide R(S) in R(T); returns (verdict, worst residual of the two routes)."""
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    verdict, resid_proj, resid_alg = _range_verdict(pseudoinverse(mt, tol), mt, ms, tol)
+    pr = pseudoinverse(mt, tol)
+    verdict, resid_proj, resid_alg = _range_verdict(pr, mt, ms, spectral_norm(ms), tol)
     return verdict, max(resid_proj, resid_alg)
 
 
@@ -103,7 +90,8 @@ def check_null_inclusion(t, s, tol: Tolerances | None = None) -> tuple[bool, flo
     """Decide N(T) in N(S); returns (verdict, worst residual of the two routes)."""
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    verdict, resid_basis, resid_alg = _null_verdict(pseudoinverse(mt, tol), mt, ms, tol)
+    pr = pseudoinverse(mt, tol)
+    verdict, resid_basis, resid_alg = _null_verdict(pr, mt, ms, spectral_norm(ms), tol)
     return verdict, max(resid_basis, resid_alg)
 
 
@@ -118,14 +106,18 @@ def check_stewart_hypotheses(t, s, tol: Tolerances | None = None) -> HypothesisR
     """
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    pr = pseudoinverse(mt, tol)
+    return _stewart_report(pseudoinverse(mt, tol), mt, ms, tol)
+
+
+def _stewart_report(pr: PinvResult, mt, ms, tol: Tolerances) -> HypothesisReport:
+    """:func:`check_stewart_hypotheses` on the factorization ``pr`` of T."""
     norm_tds = spectral_norm(pr.pinv @ ms)
     norm_std = spectral_norm(ms @ pr.pinv)
     norm_s = spectral_norm(ms)
     thr = tol.eq(norm_s)
 
-    range_ok, range_resid, ttds_resid = _range_verdict(pr, mt, ms, tol)
-    null_ok, null_resid, stdt_resid = _null_verdict(pr, mt, ms, tol)
+    range_ok, range_resid, ttds_resid = _range_verdict(pr, mt, ms, norm_s, tol)
+    null_ok, null_resid, stdt_resid = _null_verdict(pr, mt, ms, norm_s, tol)
     lambda1_min = norm_std if null_ok else None
 
     verdict_stewart = (
@@ -165,7 +157,7 @@ def estimate_lambda1(t, s, tol: Tolerances | None = None) -> float | None:
     tol = _tol(tol)
     mt, ms = _pair(t, s)
     pr = pseudoinverse(mt, tol)
-    null_ok, _, _ = _null_verdict(pr, mt, ms, tol)
+    null_ok, _, _ = _null_verdict(pr, mt, ms, spectral_norm(ms), tol)
     if not null_ok:
         return None
     return spectral_norm(ms @ pr.pinv)
@@ -197,6 +189,15 @@ def check_relative_bound(
     """
     tol = _tol(tol)
     mt, ms = _pair(t, s)
+    _check_lambdas(lambda1, lambda2)
+    if samples < 1:
+        raise ValueError("samples must be a positive integer")
+    prt = pseudoinverse(mt, tol)
+    return _relative_slack(mt, ms, lambda1, lambda2, tol, prt, svd(ms), svd(ms @ prt.pinv),
+                           svd(mt + ms).v, samples, seed)
+
+
+def _check_lambdas(lambda1: float, lambda2: float) -> None:
     if not lambda1 < 1.0:
         raise HypothesisRefusal(
             f"relative bound requires lambda1 < 1, got {lambda1}", condition="lambda1"
@@ -205,15 +206,20 @@ def check_relative_bound(
         raise HypothesisRefusal(
             f"relative bound requires lambda2 > -1, got {lambda2}", condition="lambda2"
         )
-    if samples < 1:
-        raise ValueError("samples must be a positive integer")
 
+
+def _relative_slack(mt, ms, lambda1: float, lambda2: float, tol: Tolerances, prt: PinvResult,
+                    fs: SvdFactors, f_st: SvdFactors, v_sum: np.ndarray,
+                    samples: int = 1000, seed: int = 0) -> tuple[bool, float]:
+    """:func:`check_relative_bound` from factorizations the caller already has.
+
+    ``prt`` factors T, ``fs`` factors S, ``f_st`` factors S T' and ``v_sum``
+    holds the right singular vectors of T+S; ``|T|`` and ``|S|`` are read
+    from their leading singular values.
+    """
     msum = mt + ms
-    directions = [svd(mt).v, svd(ms).v, svd(msum).v]
-
-    pinv_t = pseudoinverse(mt, tol).pinv
-    fv = svd(ms @ pinv_t).v
-    pulled = _unit_columns(pinv_t @ fv)
+    directions = [prt.v, fs.v, v_sum]
+    pulled = _unit_columns(prt.pinv @ f_st.v)
     if pulled.shape[1]:
         directions.append(pulled)
 
@@ -228,5 +234,5 @@ def check_relative_bound(
     norm_sum = np.linalg.norm(msum @ x, axis=0)
     slack = lambda1 * norm_t + lambda2 * norm_sum - norm_s
     worst = float(slack.min())
-    thr = tol.eq(max(spectral_norm(mt), spectral_norm(ms)))
+    thr = tol.eq(max(float(prt.sigma[0]), float(fs.sigma[0])))
     return worst >= -thr, worst

@@ -41,6 +41,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _pair(t, s):
+    """Validate an operator and its perturbation: equal-shape complex matrices."""
+    mt, ms = as_matrix(t), as_matrix(s)
+    if mt.shape != ms.shape:
+        raise ShapeMismatchError(f"T and S must have equal shapes, got {mt.shape} vs {ms.shape}")
+    return mt, ms
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical policy: rank cutoff, equality slack, strict-inequality margin.
@@ -111,11 +119,24 @@ def adjoint(a) -> np.ndarray:
     return as_matrix(a).conj().T
 
 
-def _svd_full(m: np.ndarray):
+def _svd(m: np.ndarray, **kwargs):
+    """``np.linalg.svd`` with non-convergence raised as :class:`DecompositionError`."""
     try:
-        return np.linalg.svd(m, full_matrices=True)
+        return np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed to converge for shape {m.shape}: {exc}") from exc
+
+
+def _factor(m: np.ndarray):
+    """One SVD of a validated matrix: ``(u, sigma, v)`` with every right vector.
+
+    ``u`` is the economy left factor (``rows x min(rows, cols)``) and ``v``
+    is square (``cols x cols``), so ``v[:, rank:]`` spans the null space.
+    Only a wide matrix needs ``full_matrices=True`` for that; its full U is
+    no larger than the economy one.
+    """
+    u, s, vh = _svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return u, s, vh.conj().T
 
 
 def svd(a) -> SvdFactors:
@@ -125,20 +146,13 @@ def svd(a) -> SvdFactors:
     garbage factors.
     """
     m = as_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD failed to converge for shape {m.shape}: {exc}") from exc
+    u, s, vh = _svd(m, full_matrices=False)
     return SvdFactors(u=u, sigma=s, v=vh.conj().T)
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values only (non-increasing)."""
-    m = as_matrix(a)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD failed to converge for shape {m.shape}: {exc}") from exc
+    return _svd(as_matrix(a), compute_uv=False)
 
 
 def spectral_norm(a) -> float:
@@ -148,11 +162,7 @@ def spectral_norm(a) -> float:
         raise ShapeMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.size == 0:
         return 0.0
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD failed to converge for shape {m.shape}: {exc}") from exc
-    return float(s[0])
+    return float(_svd(m, compute_uv=False)[0])
 
 
 def numerical_rank(sigma: np.ndarray, shape: tuple, tol: Tolerances | None = None) -> int:
@@ -215,18 +225,16 @@ def orthonormal_range_basis(a, tol: Tolerances | None = None) -> np.ndarray:
     """
     tol = _tol(tol)
     m = as_matrix(a)
-    u, s, _ = _svd_full(m)
-    r = numerical_rank(s, m.shape, tol)
-    return u[:, :r].copy()
+    u, s, _ = _svd(m, full_matrices=False)
+    return u[:, :numerical_rank(s, m.shape, tol)].copy()
 
 
 def null_space_basis(a, tol: Tolerances | None = None) -> np.ndarray:
     """Orthonormal basis of the numerical null space, as matrix columns."""
     tol = _tol(tol)
     m = as_matrix(a)
-    _, s, vh = _svd_full(m)
-    r = numerical_rank(s, m.shape, tol)
-    return vh[r:].conj().T.copy()
+    _, s, v = _factor(m)
+    return v[:, numerical_rank(s, m.shape, tol):].copy()
 
 
 def _check_orthonormal(basis: np.ndarray, tol: Tolerances, label: str) -> None:

@@ -7,22 +7,31 @@ A certified-route/oracle mismatch is an :class:`InvariantViolation`, never a
 silent fallback.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation, SingularMatrixError
-from .hypotheses import check_null_inclusion, check_relative_bound, check_stewart_hypotheses
+from .hypotheses import (
+    _check_lambdas,
+    _null_verdict,
+    _range_verdict,
+    _relative_slack,
+    _stewart_report,
+)
 from .linalg import (
+    _EPS,
     Tolerances,
+    _pair,
     _tol,
-    as_matrix,
     mat_close,
     solve_from_right,
     solve_square,
     spectral_norm,
+    svd,
 )
-from .pinv import pseudoinverse
+from .pinv import _norm_pinv, pseudoinverse
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,14 @@ class NeumannResult:
 
     residual_bound = |T'| * ratio**terms_used / (1 - ratio) bounds the
     truncation error whether or not the series reached eps_series;
-    converged records whether it did.
+    converged records whether it did. |T'| is read as 1 / gamma(T).
+
+    Every partial sum was checked to lie within its own tail of the direct
+    oracle. The oracle error is measured once, at the last order K; an
+    earlier order k is certified by the bound
+    ``err_K + sum_{j=k}^{K-1} |term_j| + 2 eps K (sqrt(min(m, n)) + 1) |T'| / (1 - ratio)``,
+    whose term norms are those the stopping rule measured. Orders that bound
+    cannot certify are measured exactly on a replay of the series.
     """
 
     pinv_s: np.ndarray
@@ -71,15 +87,6 @@ class DingHuangBounds:
     measured_pinv_diff: float
 
 
-def _pair(t, s):
-    mt, ms = as_matrix(t), as_matrix(s)
-    if mt.shape != ms.shape:
-        from .errors import ShapeMismatchError
-
-        raise ShapeMismatchError(f"T and S must have equal shapes, got {mt.shape} vs {ms.shape}")
-    return mt, ms
-
-
 def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
     """Perturbed pseudoinverse (T+S)' = (I + T'S)^-1 T' = T' (I + S T')^-1.
 
@@ -91,7 +98,8 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
     """
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    rep = check_stewart_hypotheses(mt, ms, tol)
+    pr = pseudoinverse(mt, tol)
+    rep = _stewart_report(pr, mt, ms, tol)
     if not rep.verdict_stewart:
         thr = tol.eq(rep.norm_S)
         if not rep.norm_TdS < 1.0 - tol.margin_strict:
@@ -112,8 +120,8 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
             condition="null_inclusion",
         )
 
-    td = pseudoinverse(mt, tol).pinv
-    norm_td = spectral_norm(td)
+    td = pr.pinv
+    norm_td = _norm_pinv(pr)
     eye_dom = np.eye(mt.shape[1], dtype=np.complex128)
     eye_cod = np.eye(mt.shape[0], dtype=np.complex128)
     left = solve_square(eye_dom + td @ ms, td, tol)
@@ -123,7 +131,8 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
             "left and right Stewart forms disagree:"
             f" ‖L - R‖ = {spectral_norm(left - right):.3e}"
         )
-    if not mat_close(left @ (eye_cod + ms @ td), td, tol):
+    recovered = left @ (eye_cod + ms @ td)
+    if spectral_norm(recovered - td) > tol.eq(max(spectral_norm(recovered), norm_td)):
         raise InvariantViolation("recovery identity T† = (T+S)†(I + ST†) failed")
 
     oracle = pseudoinverse(mt + ms, tol).pinv
@@ -161,7 +170,12 @@ def update_relative_surjective(
             f"relative update refused: T is not surjective (rank {prt.rank} < {rows} rows)",
             condition="surjective",
         )
-    ok, worst = check_relative_bound(mt, ms, lambda1, lambda2, tol=tol)
+    _check_lambdas(lambda1, lambda2)
+    td = prt.pinv
+    fs = svd(ms)
+    f_st = svd(ms @ td)
+    oracle_res = pseudoinverse(mt + ms, tol)
+    ok, worst = _relative_slack(mt, ms, lambda1, lambda2, tol, prt, fs, f_st, oracle_res.v)
     if not ok:
         raise HypothesisRefusal(
             "relative update refused: bound"
@@ -171,8 +185,7 @@ def update_relative_surjective(
             condition="relative_bound",
         )
 
-    td = prt.pinv
-    norm_td = spectral_norm(td)
+    norm_td = _norm_pinv(prt)
     eye_cod = np.eye(rows, dtype=np.complex128)
     try:
         updated = solve_from_right(td, eye_cod + ms @ td, tol)
@@ -182,13 +195,12 @@ def update_relative_surjective(
             f" {exc}"
         ) from exc
 
-    oracle_res = pseudoinverse(mt + ms, tol)
     if oracle_res.rank < rows:
         raise InvariantViolation(
             f"T+S lost surjectivity (rank {oracle_res.rank} < {rows})"
             " although the relative bound holds"
         )
-    norm_oracle = spectral_norm(oracle_res.pinv)
+    norm_oracle = _norm_pinv(oracle_res)
     norm_cap = (1.0 + lambda2) / (1.0 - lambda1) * norm_td
     if norm_oracle > norm_cap + tol.eq(norm_cap):
         raise InvariantViolation(
@@ -196,8 +208,8 @@ def update_relative_surjective(
             f" {norm_cap:.6g}"
         )
 
-    norm_std = spectral_norm(ms @ td)
-    norm_s = spectral_norm(ms)
+    norm_std = float(f_st.sigma[0])
+    norm_s = float(fs.sigma[0])
     bound = None
     if lambda2 == 0.0 and norm_std < 1.0:
         bound = norm_td**2 * norm_s / (1.0 - norm_std)
@@ -228,9 +240,10 @@ def neumann_pinv(
     |(S - T) T'| is below 1; then the minimal lambda1 for the difference
     equals the ratio and the alternating series converges geometrically to
     S' = T' (I + (S - T) T')^-1. Terms accumulate until the next term drops
-    below eps_series (default 1e-12 * |T'|) or max_terms is hit; the
-    partial sum is checked against the direct oracle at every order using
-    the geometric tail bound.
+    below eps_series (default 1e-12 * |T'|) or max_terms is hit. Every
+    partial sum is then certified against the direct oracle within its
+    geometric tail, from one measured oracle error at the final order (see
+    :class:`NeumannResult`).
     """
     tol = _tol(tol)
     mt, ms = _pair(t, s)
@@ -243,21 +256,27 @@ def neumann_pinv(
         )
     diff = ms - mt
     td = prt.pinv
-    norm_td = spectral_norm(td)
-    ratio = spectral_norm(diff @ td)
+    norm_td = _norm_pinv(prt)
+    step = diff @ td
+    f_step = svd(step)
+    ratio = float(f_step.sigma[0])
     if not ratio < 1.0 - tol.margin_strict:
         raise HypothesisRefusal(
             f"Neumann inversion refused: ratio ‖(S-T)T†‖ = {ratio:.6g} ≥ 1",
             condition="ratio",
         )
-    null_ok, null_resid = check_null_inclusion(mt, diff, tol)
+    f_diff = svd(diff)
+    null_ok, resid_basis, resid_alg = _null_verdict(prt, mt, diff, float(f_diff.sigma[0]), tol)
     if not null_ok:
         raise HypothesisRefusal(
             "Neumann inversion refused: N(T) ⊄ N(S-T)"
-            f" (residual {null_resid:.3e}), no finite λ₁ with λ₂ = 0",
+            f" (residual {max(resid_basis, resid_alg):.3e}), no finite λ₁ with λ₂ = 0",
             condition="null_inclusion",
         )
-    ok, worst = check_relative_bound(mt, diff, ratio, 0.0, tol=tol)
+    # T + (S - T) is S up to rounding, so the oracle's factors supply the
+    # T+S directions of the relative-bound check
+    oracle_res = pseudoinverse(ms, tol)
+    ok, worst = _relative_slack(mt, diff, ratio, 0.0, tol, prt, f_diff, f_step, oracle_res.v)
     if not ok:
         raise HypothesisRefusal(
             "Neumann inversion refused: relative bound"
@@ -269,35 +288,34 @@ def neumann_pinv(
         raise ValueError("max_terms must be a positive integer")
 
     eps = 1e-12 * norm_td if eps_series is None else float(eps_series)
-    oracle = pseudoinverse(ms, tol).pinv
-    step = diff @ td
+    oracle = oracle_res.pinv
+
+    def tail(k):
+        return norm_td * ratio**k / (1.0 - ratio)
 
     term = td
     total = td.copy()
-    terms_used = 1
-    last_term_norm = norm_td
+    term_norms = [norm_td]  # partial sums are not kept, only these norms
     converged = False
     while True:
-        tail = norm_td * ratio**terms_used / (1.0 - ratio)
-        err = spectral_norm(total - oracle)
-        if err > tail + tol.eq_abs:
-            raise InvariantViolation(
-                f"Neumann partial sum after {terms_used} terms is off by {err:.3e},"
-                f" above the certified tail {tail:.3e}"
-            )
         nxt = -(term @ step)
         norm_nxt = spectral_norm(nxt)
         if norm_nxt < eps:
             converged = True
             break
-        if terms_used >= max_terms:
+        if len(term_norms) >= max_terms:
             break
         term = nxt
         total = total + term
-        terms_used += 1
-        last_term_norm = norm_nxt
+        term_norms.append(norm_nxt)
 
-    residual_bound = norm_td * ratio**terms_used / (1.0 - ratio)
+    terms_used = len(term_norms)
+    err = spectral_norm(total - oracle)
+    certified = _certify_orders(err, term_norms, tail, mt.shape, norm_td, ratio, tol.eq_abs)
+    if not all(certified):
+        _replay_orders(td, step, oracle, certified, tail, tol.eq_abs)
+
+    residual_bound = tail(terms_used)
     closed = solve_from_right(td, np.eye(rows, dtype=np.complex128) + step, tol)
     slack = residual_bound + tol.eq(max(spectral_norm(total), norm_td))
     if spectral_norm(total - closed) > slack:
@@ -305,32 +323,74 @@ def neumann_pinv(
             "Neumann series and closed form T†(I+(S-T)T†)⁻¹ disagree"
             f" beyond the certified tail ({spectral_norm(total - closed):.3e} > {slack:.3e})"
         )
-    if spectral_norm(total - oracle) > slack:
+    if err > slack:
         raise InvariantViolation(
             "Neumann series and direct pseudoinverse disagree beyond the certified tail"
         )
     return NeumannResult(
         pinv_s=total,
         terms_used=terms_used,
-        last_term_norm=last_term_norm,
+        last_term_norm=term_norms[-1],
         ratio=ratio,
         residual_bound=residual_bound,
         converged=converged,
     )
 
 
+def _certify_orders(err, term_norms, tail, shape, norm_td, ratio, eq_abs) -> list:
+    """Which orders k provably pass ``|total_k - oracle| <= tail(k) + eq_abs``.
+
+    With K summed terms and ``err = |total_K - oracle|``, the triangle
+    inequality gives ``|total_k - oracle| <= err + sum_{j=k}^{K-1} |term_j|``
+    plus the rounding of the partial-sum additions, which is allowed for as
+    ``2 eps K (sqrt(min(m, n)) + 1) |T'| / (1 - ratio)``. An order whose
+    bound is not below its tail is left to :func:`_replay_orders`.
+    """
+    n_terms = len(term_norms)
+    rounding = 2.0 * _EPS * n_terms * (math.sqrt(min(shape)) + 1.0) * norm_td / (1.0 - ratio)
+    certified = []
+    later = 0.0  # sum of |term_j| for j = k .. K-1
+    for k in range(n_terms, 0, -1):
+        certified.append(err + later + rounding <= tail(k) + eq_abs)
+        later += term_norms[k - 1]
+    return certified[::-1]
+
+
+def _replay_orders(td, step, oracle, certified, tail, eq_abs) -> None:
+    """Rebuild the partial sums and measure every order not certified.
+
+    Raises at the first order whose measured error exceeds its tail, with
+    the message of the per-order check; the sums are rebuilt with the same
+    operations, so they are bit-identical to the first pass.
+    """
+    last = max(k for k, ok in enumerate(certified, start=1) if not ok)
+    term = td
+    total = td.copy()
+    for k in range(1, last + 1):
+        if k > 1:
+            term = -(term @ step)
+            total = total + term
+        if not certified[k - 1]:
+            err = spectral_norm(total - oracle)
+            if err > tail(k) + eq_abs:
+                raise InvariantViolation(
+                    f"Neumann partial sum after {k} terms is off by {err:.3e},"
+                    f" above the certified tail {tail(k):.3e}"
+                )
+
+
 def error_bound_stewart(t, s, tol: Tolerances | None = None) -> float:
     """A-priori bound |S| |T'|^2 / (1 - |T'S|) on |(T+S)' - T'|."""
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    td = pseudoinverse(mt, tol).pinv
-    norm_tds = spectral_norm(td @ ms)
+    pr = pseudoinverse(mt, tol)
+    norm_tds = spectral_norm(pr.pinv @ ms)
     if norm_tds >= 1.0:
         raise HypothesisRefusal(
             f"error bound undefined: ‖T†S‖ = {norm_tds:.6g} ≥ 1",
             condition="norm_TdS",
         )
-    return spectral_norm(ms) * spectral_norm(td) ** 2 / (1.0 - norm_tds)
+    return spectral_norm(ms) * _norm_pinv(pr) ** 2 / (1.0 - norm_tds)
 
 
 def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
@@ -362,7 +422,7 @@ def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
             f"‖(I+ST†)⁻¹‖ = {inv_norm:.6g} exceeds 1/(1-‖ST†‖)"
             f" = {cap:.6g}"
         )
-    return spectral_norm(td) ** 2 * spectral_norm(ms) / (1.0 - norm_std)
+    return _norm_pinv(prt) ** 2 * spectral_norm(ms) / (1.0 - norm_std)
 
 
 def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, float]:
@@ -373,7 +433,8 @@ def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, 
     """
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    rep = check_stewart_hypotheses(mt, ms, tol)
+    pr = pseudoinverse(mt, tol)
+    rep = _stewart_report(pr, mt, ms, tol)
     if not rep.verdict_stewart:
         raise HypothesisRefusal(
             "gamma continuity bound refused: Stewart hypotheses fail"
@@ -382,9 +443,9 @@ def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, 
             f" null residual {rep.stdt_residual:.3e})",
             condition="stewart",
         )
-    norm_td = spectral_norm(pseudoinverse(mt, tol).pinv)
+    norm_td = _norm_pinv(pr)
     pr_sum = pseudoinverse(mt + ms, tol)
-    norm_td_sum = spectral_norm(pr_sum.pinv)
+    norm_td_sum = _norm_pinv(pr_sum)
     achieved = abs(pr_sum.gamma - rep.gamma_T)
     if rep.norm_S == 0.0:
         return achieved, 0.0
@@ -417,8 +478,18 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
     mt, ms = _pair(t, s)
     prt = pseudoinverse(mt, tol)
     td = prt.pinv
-    norm_td = spectral_norm(td)
+    norm_td = _norm_pinv(prt)
+    norm_s = spectral_norm(ms)
     rows, cols = mt.shape
+
+    def null_inclusion(label):
+        ok, resid_basis, resid_alg = _null_verdict(prt, mt, ms, norm_s, tol)
+        if not ok:
+            raise HypothesisRefusal(
+                f"{label} case refused: N(T) ⊄ N(S)"
+                f" (residual {max(resid_basis, resid_alg):.3e})",
+                condition="null_inclusion",
+            )
 
     if case == "injective":
         if prt.rank < cols:
@@ -426,10 +497,11 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
                 f"injective case refused: rank {prt.rank} < {cols} columns",
                 condition="injective",
             )
-        ok, resid = _range_only(prt, mt, ms, tol)
+        ok, resid_proj, resid_alg = _range_verdict(prt, mt, ms, norm_s, tol)
         if not ok:
             raise HypothesisRefusal(
-                f"injective case refused: R(S) ⊄ R(T) (residual {resid:.3e})",
+                "injective case refused: R(S) ⊄ R(T)"
+                f" (residual {max(resid_proj, resid_alg):.3e})",
                 condition="range_inclusion",
             )
         small = spectral_norm(td @ ms)
@@ -446,12 +518,7 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
                 f"surjective case refused: rank {prt.rank} < {rows} rows",
                 condition="surjective",
             )
-        ok, resid = check_null_inclusion(mt, ms, tol)
-        if not ok:
-            raise HypothesisRefusal(
-                f"surjective case refused: N(T) ⊄ N(S) (residual {resid:.3e})",
-                condition="null_inclusion",
-            )
+        null_inclusion("surjective")
         small = spectral_norm(ms @ td)
         if not small < 1.0 - tol.margin_strict:
             raise HypothesisRefusal(
@@ -461,13 +528,8 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
         norm_bound = norm_td / (1.0 - small)
         diff_bound = small * norm_td / (1.0 - small)
     else:
-        ok, resid = check_null_inclusion(mt, ms, tol)
-        if not ok:
-            raise HypothesisRefusal(
-                f"general case refused: N(T) ⊄ N(S) (residual {resid:.3e})",
-                condition="null_inclusion",
-            )
-        small = spectral_norm(ms) * norm_td
+        null_inclusion("general")
+        small = norm_s * norm_td
         if not small < 1.0 - tol.margin_strict:
             raise HypothesisRefusal(
                 f"general case refused: ‖S‖‖T†‖ = {small:.6g} ≥ 1",
@@ -485,7 +547,7 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
         raise InvariantViolation(
             f"T+S lost surjectivity (rank {pr_sum.rank} < {rows}) under the surjective case"
         )
-    measured_norm = spectral_norm(pr_sum.pinv)
+    measured_norm = _norm_pinv(pr_sum)
     measured_diff = spectral_norm(pr_sum.pinv - td)
     if measured_norm > norm_bound + tol.eq(norm_bound):
         raise InvariantViolation(
@@ -504,10 +566,3 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
         measured_pinv_norm=measured_norm,
         measured_pinv_diff=measured_diff,
     )
-
-
-def _range_only(prt, mt, ms, tol):
-    from .hypotheses import _range_verdict
-
-    ok, resid_proj, resid_alg = _range_verdict(prt, mt, ms, tol)
-    return ok, max(resid_proj, resid_alg)

@@ -14,7 +14,8 @@ import numpy as np
 from .errors import InvariantViolation, ShapeMismatchError
 from .linalg import (
     Tolerances,
-    _svd_full,
+    _factor,
+    _svd,
     _tol,
     adjoint,
     as_matrix,
@@ -27,6 +28,12 @@ from .linalg import (
 @dataclass(frozen=True)
 class PinvResult:
     """Pseudoinverse plus the metadata of its rank-revealing decomposition.
+
+    This is the single factorization of an operator: a public call in
+    ``hypotheses``, ``perturb`` or ``reverse_order`` builds one per operator
+    it works on and hands it to every check of that call. Quantities the
+    factors already give are read, not re-measured: ``|pinv| = 1 / gamma``
+    (0.0 at rank 0) and ``|T| = sigma[0]``.
 
     pinv
         The Moore-Penrose inverse, shape ``(cols, rows)`` of the source.
@@ -41,6 +48,15 @@ class PinvResult:
         Orthogonal projections onto the column space and onto the orthogonal
         complement of the null space, built from the singular bases (not
         from pinv products, so they can cross-check those products).
+    v
+        The economy right singular vectors, ``(cols, min(rows, cols))``,
+        matching ``sigma`` column by column.
+    null_basis
+        Orthonormal basis of the numerical null space, ``(cols, cols - rank)``.
+
+    The SVD behind it is the economy one, except that a wide source keeps
+    all of V (``full_matrices=True``) so the null basis is available; no
+    ``rows x rows`` U is ever formed for a tall source.
     """
 
     pinv: np.ndarray
@@ -49,6 +65,8 @@ class PinvResult:
     gamma: float
     proj_range: np.ndarray
     proj_rowspace: np.ndarray
+    v: np.ndarray
+    null_basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,10 +88,10 @@ def pseudoinverse(t, tol: Tolerances | None = None) -> PinvResult:
     """
     tol = _tol(tol)
     m = as_matrix(t)
-    u, s, vh = _svd_full(m)
+    u, s, v = _factor(m)
     r = numerical_rank(s, m.shape, tol)
     ur = u[:, :r]
-    vr = vh[:r].conj().T
+    vr = v[:, :r]
     if r:
         pinv = (vr / s[:r]) @ ur.conj().T
         gamma = float(s[r - 1])
@@ -85,11 +103,18 @@ def pseudoinverse(t, tol: Tolerances | None = None) -> PinvResult:
     return PinvResult(
         pinv=pinv,
         rank=r,
-        sigma=s.copy(),
+        sigma=s,
         gamma=gamma,
         proj_range=proj_range,
         proj_rowspace=proj_rowspace,
+        v=v[:, :s.size],
+        null_basis=v[:, r:],
     )
+
+
+def _norm_pinv(pr: PinvResult) -> float:
+    """Spectral norm of ``pr.pinv``, read as ``1 / gamma``; 0.0 at rank 0."""
+    return 1.0 / pr.gamma if pr.rank else 0.0
 
 
 def reduced_min_modulus(t, tol: Tolerances | None = None) -> float:
@@ -100,7 +125,7 @@ def reduced_min_modulus(t, tol: Tolerances | None = None) -> float:
     """
     tol = _tol(tol)
     m = as_matrix(t)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = _svd(m, compute_uv=False)
     r = numerical_rank(s, m.shape, tol)
     return float(s[r - 1]) if r else 0.0
 

@@ -64,19 +64,18 @@ def reverse_order_pinv(f, g, tol: Tolerances | None = None) -> FactoredPinv:
         raise ShapeMismatchError(
             f"factors do not conform: F is {mf.shape}, G is {mg.shape}"
         )
-    if not check_rol_hypotheses(mf, mg, tol):
-        rank_f = numerical_rank(singular_values(mf), mf.shape, tol)
-        rank_g = numerical_rank(singular_values(mg), mg.shape, tol)
+    pr_f, pr_g = pseudoinverse(mf, tol), pseudoinverse(mg, tol)
+    if pr_f.rank != mf.shape[1] or pr_g.rank != mg.shape[0]:
         raise HypothesisRefusal(
             "reverse-order law refused:"
-            f" F needs full column rank (rank {rank_f} of {mf.shape[1]}),"
-            f" G needs full row rank (rank {rank_g} of {mg.shape[0]})",
+            f" F needs full column rank (rank {pr_f.rank} of {mf.shape[1]}),"
+            f" G needs full row rank (rank {pr_g.rank} of {mg.shape[0]})",
             condition="factor_ranks",
         )
 
     a = mf @ mg
     oracle = pseudoinverse(a, tol).pinv
-    reverse = pseudoinverse(mg, tol).pinv @ pseudoinverse(mf, tol).pinv
+    reverse = pr_g.pinv @ pr_f.pinv
 
     fa, ga = adjoint(mf), adjoint(mg)
     try:

@@ -108,6 +108,14 @@ class TestExitCodeContract:
         assert err["type"] == "HypothesisRefusal"
         assert needle in err["message"]
 
+    def test_refusal_condition_in_json_error(self, fixtures, capsys):
+        tp, sp = fixtures["range_violation"]
+        code, out, _ = run_cli(capsys, "--json", "update", tp, sp, "--method", "stewart")
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "HypothesisRefusal"
+        assert err["condition"] == "range_inclusion"
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
         bad.write_text("%%MatrixMarket matrix array integer general\n1 1\n1\n")

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pinvperturb import (
     HypothesisRefusal,
+    InvariantViolation,
     adversarial_pair,
     check_relative_bound,
     error_bound_lambda2_zero,
@@ -19,6 +22,7 @@ from pinvperturb import (
     update_relative_surjective,
     update_stewart,
 )
+from pinvperturb import perturb
 from pinvperturb.generators import GenSpec, random_operator, s_alpha
 from conftest import random_complex
 
@@ -197,6 +201,97 @@ class TestNeumann:
         assert err <= res.residual_bound + 1e-10
         cap = int(np.ceil(np.log(1e-12) / np.log(res.ratio))) + 2
         assert res.terms_used <= cap
+
+
+class TestNeumannOrderCertificate:
+    """Every partial sum must lie within its geometric tail of the oracle.
+
+    The orders are certified from one oracle error at the last order; these
+    tests make sure a broken order is still caught and named, and that the
+    exact per-order replay agrees with the certified path.
+    """
+
+    @staticmethod
+    def _pair(ratio):
+        rng = np.random.default_rng(21)
+        t = _surjective(rng, 6, 9)
+        w = random_complex(rng, 6, 6)
+        return t, t + (ratio / spectral_norm(w)) * (w @ t)
+
+    @staticmethod
+    def _spy_replays(monkeypatch):
+        replays = []
+        replay = perturb._replay_orders
+
+        def spy(*args):
+            replays.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(perturb, "_replay_orders", spy)
+        return replays
+
+    def test_injected_oracle_error_names_the_first_broken_order(self, monkeypatch):
+        t, s = self._pair(0.5)
+        td = pseudoinverse(t).pinv
+        norm_td = spectral_norm(td)
+        step = (s - t) @ td
+        ratio = spectral_norm(step)
+        rng = np.random.default_rng(5)
+        direction = random_complex(rng, *td.shape)
+        # an oracle off by about the tail at order 8: the early orders stay
+        # inside their tails, the later ones cannot
+        delta = (norm_td * ratio**8 / (1.0 - ratio) / spectral_norm(direction)) * direction
+        wrong = pseudoinverse(s).pinv + delta
+
+        # the per-order check as a plain loop over the partial sums
+        term, total, broken = td, td.copy(), None
+        for k in range(1, 200):
+            if spectral_norm(total - wrong) > norm_td * ratio**k / (1.0 - ratio) + 1e-10:
+                broken = k
+                break
+            term = -(term @ step)
+            total = total + term
+        assert broken is not None and broken > 1
+
+        def wrong_oracle(m, tol=None):
+            pr = pseudoinverse(m, tol)
+            return dataclasses.replace(pr, pinv=wrong) if np.array_equal(m, s) else pr
+
+        monkeypatch.setattr(perturb, "pseudoinverse", wrong_oracle)
+        with pytest.raises(InvariantViolation,
+                           match=f"^Neumann partial sum after {broken} terms is off by"):
+            neumann_pinv(t, s)
+
+    def test_forced_replay_is_bit_identical(self, monkeypatch):
+        t, s = self._pair(0.7)
+        norms = []
+
+        def counting_norm(a):
+            norms.append(a)
+            return spectral_norm(a)
+
+        monkeypatch.setattr(perturb, "spectral_norm", counting_norm)
+        certified = neumann_pinv(t, s)
+        measured = len(norms)
+        replays = self._spy_replays(monkeypatch)
+        monkeypatch.setattr(perturb, "_certify_orders",
+                            lambda err, term_norms, *rest: [False] * len(term_norms))
+        norms.clear()
+        replayed = neumann_pinv(t, s)
+        assert len(replays) == 1
+        # the replay measured the oracle error at every order
+        assert len(norms) == measured + certified.terms_used
+        assert np.array_equal(replayed.pinv_s, certified.pinv_s)
+        assert replayed.terms_used == certified.terms_used
+        assert replayed.converged == certified.converged
+        assert replayed.last_term_norm == certified.last_term_norm
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.5, 0.9])
+    def test_unit_scale_needs_no_replay(self, monkeypatch, ratio):
+        replays = self._spy_replays(monkeypatch)
+        res = neumann_pinv(*self._pair(ratio))
+        assert res.converged
+        assert replays == []
 
 
 class TestErrorBounds:
