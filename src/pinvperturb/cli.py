@@ -49,6 +49,24 @@ from .verify import run_verification
 _ENV_PREFIX = "PINVPERTURB_"
 
 
+class _Files:
+    """One command's Matrix Market reads and writes, with their summed time."""
+
+    def __init__(self):
+        self.timings = {"read_ms": 0.0, "write_ms": 0.0}
+
+    def read(self, path):
+        start = time.perf_counter()
+        m = mmio.read_matrix(path)
+        self.timings["read_ms"] += (time.perf_counter() - start) * 1e3
+        return m
+
+    def write(self, m, path, format):
+        start = time.perf_counter()
+        mmio.write_matrix(m, path, format=format)
+        self.timings["write_ms"] += (time.perf_counter() - start) * 1e3
+
+
 def _resolve_tolerances(args) -> Tolerances:
     def pick(flag_value, env_suffix, default):
         if flag_value is not None:
@@ -171,12 +189,12 @@ def _axiom_dict(ax) -> dict:
     }
 
 
-def _cmd_pinv(args, tol):
-    t = mmio.read_matrix(args.t)
+def _cmd_pinv(args, tol, files):
+    t = files.read(args.t)
     pr = pseudoinverse(t, tol)
     ax = verify_mp_axioms(t, pr.pinv, tol)
     if args.output:
-        mmio.write_matrix(pr.pinv, args.output, format=args.format)
+        files.write(pr.pinv, args.output, format=args.format)
     report = Report(
         command="pinv",
         inputs={"t": args.t, "output": args.output},
@@ -193,9 +211,9 @@ def _cmd_pinv(args, tol):
     return report, 0 if ax.passed else 1
 
 
-def _cmd_check(args, tol):
-    t = mmio.read_matrix(args.t)
-    s = mmio.read_matrix(args.s)
+def _cmd_check(args, tol, files):
+    t = files.read(args.t)
+    s = files.read(args.s)
     rep = check_stewart_hypotheses(t, s, tol)
     verdicts = {
         "norm_TdS": rep.norm_TdS,
@@ -225,9 +243,9 @@ def _update_verdicts(res) -> dict:
     }
 
 
-def _cmd_update(args, tol):
-    t = mmio.read_matrix(args.t)
-    s = mmio.read_matrix(args.s)
+def _cmd_update(args, tol, files):
+    t = files.read(args.t)
+    s = files.read(args.s)
     inputs = {"t": args.t, "s": args.s, "method": args.method}
     if args.method == "stewart":
         res = update_stewart(t, s, tol)
@@ -254,14 +272,14 @@ def _cmd_update(args, tol):
         }
         out = res.pinv_s
     if args.output:
-        mmio.write_matrix(out, args.output, format=args.format)
+        files.write(out, args.output, format=args.format)
         inputs["output"] = args.output
     return Report(command="update", inputs=inputs, verdicts=verdicts), 0
 
 
-def _cmd_bounds(args, tol):
-    t = mmio.read_matrix(args.t)
-    s = mmio.read_matrix(args.s)
+def _cmd_bounds(args, tol, files):
+    t = files.read(args.t)
+    s = files.read(args.s)
     pr_t = pseudoinverse(t, tol)
     pr_sum = pseudoinverse(t + s, tol)
     measured_diff = spectral_norm(pr_sum.pinv - pr_t.pinv)
@@ -318,9 +336,9 @@ def _cmd_bounds(args, tol):
     return report, 0 if failures == 0 else 1
 
 
-def _cmd_rol(args, tol):
-    f = mmio.read_matrix(args.f)
-    g = mmio.read_matrix(args.g)
+def _cmd_rol(args, tol, files):
+    f = files.read(args.f)
+    g = files.read(args.g)
     fp = reverse_order_pinv(f, g, tol)
     scale = max(
         spectral_norm(fp.pinv_oracle),
@@ -329,7 +347,7 @@ def _cmd_rol(args, tol):
     )
     agree = fp.max_pairwise_discrepancy <= tol.eq(scale)
     if args.output:
-        mmio.write_matrix(fp.pinv_reverse, args.output, format=args.format)
+        files.write(fp.pinv_reverse, args.output, format=args.format)
     report = Report(
         command="rol",
         inputs={"f": args.f, "g": args.g, "output": args.output},
@@ -342,14 +360,14 @@ def _cmd_rol(args, tol):
     return report, 0 if agree else 1
 
 
-def _cmd_gen(args, tol):
+def _cmd_gen(args, tol, files):
     inputs = {"what": args.what, "seed": args.seed}
     if args.what == "operator":
         rank = args.rank if args.rank is not None else min(args.rows, args.cols)
         spec = GenSpec(rows=args.rows, cols=args.cols, rank=rank,
                        gamma_target=args.gamma, norm_target=args.norm, seed=args.seed)
         m = random_operator(spec)
-        mmio.write_matrix(m, args.output, format=args.format)
+        files.write(m, args.output, format=args.format)
         sigma = singular_values(m)
         verdicts = {
             "written": args.output,
@@ -358,10 +376,10 @@ def _cmd_gen(args, tol):
             "achieved_gamma": reduced_min_modulus(m, tol),
         }
     elif args.what == "salpha":
-        t = mmio.read_matrix(args.t)
+        t = files.read(args.t)
         alpha = args.alpha if args.alpha is not None else reduced_min_modulus(t, tol)
         s = s_alpha(t, alpha, tol)
-        mmio.write_matrix(s, args.output, format=args.format)
+        files.write(s, args.output, format=args.format)
         rep = check_stewart_hypotheses(t, s, tol)
         verdicts = {
             "written": args.output,
@@ -371,9 +389,9 @@ def _cmd_gen(args, tol):
         }
         inputs["t"] = args.t
     elif args.what == "relperturb":
-        t = mmio.read_matrix(args.t)
+        t = files.read(args.t)
         s = random_relative_perturbation(t, args.lambda1, args.seed)
-        mmio.write_matrix(s, args.output, format=args.format)
+        files.write(s, args.output, format=args.format)
         verdicts = {
             "written": args.output,
             "lambda1": args.lambda1,
@@ -382,14 +400,14 @@ def _cmd_gen(args, tol):
         inputs["t"] = args.t
     else:
         t, s = adversarial_pair(args.kind, args.seed)
-        mmio.write_matrix(t, args.out_t, format=args.format)
-        mmio.write_matrix(s, args.out_s, format=args.format)
+        files.write(t, args.out_t, format=args.format)
+        files.write(s, args.out_s, format=args.format)
         verdicts = {"kind": args.kind, "written_t": args.out_t, "written_s": args.out_s}
         inputs["kind"] = args.kind
     return Report(command="gen", inputs=inputs, verdicts=verdicts), 0
 
 
-def _cmd_verify(args, tol):
+def _cmd_verify(args, tol, files):
     seed = args.verify_seed if args.verify_seed is not None else args.seed
     verdicts, passed = run_verification(
         trials=args.trials, seed=seed, max_dim=args.max_dim, jobs=args.jobs, tol=tol
@@ -455,16 +473,18 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code) if exc.code else 0
 
+    files = _Files()
     start = time.perf_counter()
     try:
         tol = _resolve_tolerances(args)
-        report, code = _COMMANDS[args.command](args, tol)
+        report, code = _COMMANDS[args.command](args, tol, files)
     except (HypothesisRefusal, SingularMatrixError, InvariantViolation) as exc:
         return _emit_error(args, exc, 1)
     except (MatrixMarketError, OSError, ValueError) as exc:
         return _emit_error(args, exc, 2)
 
     report.timings["total_ms"] = (time.perf_counter() - start) * 1e3
+    report.timings.update(files.timings)
     report.tolerances_used = {
         "rank_rel": tol.rank_rel,
         "eq_abs": tol.eq_abs,

@@ -15,7 +15,11 @@ import numpy as np
 
 @dataclass
 class Report:
-    """One CLI invocation's inputs, verdicts, timings, and tolerances."""
+    """One CLI invocation's inputs, verdicts, timings, and tolerances.
+
+    The CLI fills ``timings`` with ``total_ms`` and, within it, the time
+    spent reading and writing Matrix Market files (``read_ms``, ``write_ms``).
+    """
 
     command: str
     inputs: dict = field(default_factory=dict)

@@ -72,6 +72,18 @@ class TestExitCodeContract:
         assert "rank: 2" in out
         assert read_matrix(out_path).shape == (3, 4)
 
+    def test_timings_carry_read_and_write(self, fixtures, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "--json", "pinv", fixtures["t"], "-o", str(tmp_path / "p.mtx"))
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert 0.0 <= timings["read_ms"] <= timings["total_ms"]
+        assert 0.0 <= timings["write_ms"] <= timings["total_ms"]
+        # each command reports only its own I/O: check writes nothing
+        code, out, _ = run_cli(capsys, "--json", "check", fixtures["t"], fixtures["s"])
+        assert code == 0
+        assert json.loads(out)["timings"]["write_ms"] == 0.0
+
     def test_check_positive_fixture(self, fixtures, capsys):
         code, out, _ = run_cli(capsys, "--json", "check", fixtures["t"], fixtures["s"])
         assert code == 0
@@ -122,6 +134,15 @@ class TestExitCodeContract:
         code, out, _ = run_cli(capsys, "--json", "pinv", str(bad))
         assert code == 2
         assert json.loads(out)["error"]["type"] == "MatrixMarketError"
+
+    def test_non_finite_value_exits_2_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "nan.mtx"
+        bad.write_text("%%MatrixMarket matrix array real general\n1 2\n1.5\nnan\n")
+        code, out, _ = run_cli(capsys, "--json", "pinv", str(bad))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "MatrixMarketError"
+        assert err["message"] == f"{bad}:4: non-finite value 'nan'"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "pinv", "does-not-exist.mtx")
