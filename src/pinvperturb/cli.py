@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the master seed for this run")
     p.add_argument("--max-dim", type=int, default=20)
     p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent trial workers; results are job-count independent")
+                   help="accepted and ignored: trials run in order in one thread")
 
     return parser
 
@@ -410,12 +410,11 @@ def _cmd_gen(args, tol, files):
 def _cmd_verify(args, tol, files):
     seed = args.verify_seed if args.verify_seed is not None else args.seed
     verdicts, passed = run_verification(
-        trials=args.trials, seed=seed, max_dim=args.max_dim, jobs=args.jobs, tol=tol
+        trials=args.trials, seed=seed, max_dim=args.max_dim, tol=tol
     )
     report = Report(
         command="verify",
-        inputs={"trials": args.trials, "seed": seed,
-                "max_dim": args.max_dim, "jobs": args.jobs},
+        inputs={"trials": args.trials, "seed": seed, "max_dim": args.max_dim},
         verdicts={"suites": verdicts, "all_passed": passed},
     )
     return report, 0 if passed else 1

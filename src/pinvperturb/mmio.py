@@ -76,6 +76,17 @@ def _parse_size(tokens, count, path, lineno):
     return values
 
 
+def _zeros(rows, cols, path, lineno):
+    """The dense matrix a size line names, refused at that line if numpy cannot
+    allocate it."""
+    try:
+        return np.zeros((rows, cols), dtype=np.complex128)
+    except (ValueError, MemoryError):
+        raise MatrixMarketError(
+            f"cannot allocate a {rows} x {cols} matrix", path=path, line=lineno
+        ) from None
+
+
 def _header(text: str, path):
     """Check the banner line; return (format, field, text after line 1).
 
@@ -183,7 +194,10 @@ def _read_bulk(body: str | None, fmt: str, field: str):
         return np.ascontiguousarray(flat.reshape(cols, rows).T)
     if np.any((i < 1) | (i > rows) | (j < 1) | (j > cols)):
         return None
-    mat = np.zeros((rows, cols), dtype=np.complex128)
+    try:
+        mat = _zeros(rows, cols, None, None)
+    except MatrixMarketError:
+        return None
     with np.errstate(over="ignore"):
         np.add.at(mat, (i - 1, j - 1), flat)
     return mat if np.all(np.isfinite(mat)) else None
@@ -217,7 +231,7 @@ def _scan(lines, fmt: str, field: str, path) -> np.ndarray:
                 path=path,
                 line=entries[need][0],
             )
-        mat = np.zeros((rows, cols), dtype=np.complex128)
+        mat = _zeros(rows, cols, path, size_lineno)
         for k, (no, tokens) in enumerate(entries):
             if len(tokens) != values_per_entry:
                 raise MatrixMarketError(
@@ -244,7 +258,7 @@ def _scan(lines, fmt: str, field: str, path) -> np.ndarray:
             path=path,
             line=entries[nnz][0],
         )
-    mat = np.zeros((rows, cols), dtype=np.complex128)
+    mat = _zeros(rows, cols, path, size_lineno)
     for no, tokens in entries:
         if len(tokens) != 2 + values_per_entry:
             raise MatrixMarketError(

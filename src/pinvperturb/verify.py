@@ -3,15 +3,15 @@
 Each suite draws operators with prescribed spectra (bounded condition, so
 numerical rank is unambiguous), runs one certified route against the direct
 SVD oracle, and aggregates worst-case deviations. Trials are seeded
-individually from the master seed, so results are independent of job count
-and identical across runs.
+individually from the master seed and run in order in one thread, so results
+are identical across runs.
 
 The pinned thresholds below are the acceptance contract; they are fixed
 here, not derived from the configurable Tolerances.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from operator import eq, ge, gt, le
 
 import numpy as np
 
@@ -56,11 +56,31 @@ def _trial_seeds(master_seed: int, tag: int, count: int) -> list:
     return [int(x) for x in rng.integers(0, 2**62, size=count)]
 
 
-def _run_trials(trial, seeds, jobs: int) -> list:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(trial, seeds))
-    return [trial(seed) for seed in seeds]
+def _count(values) -> int:
+    return sum(1 for v in values if v)
+
+
+def _run_suite(name, trial, seeds, metrics, info=None, fixed=None) -> dict:
+    """Run ``trial`` on each seed in order, reduce and judge its metrics.
+
+    ``metrics`` maps each result key to ``(reduce, compare, threshold)``: the
+    trial returns a value under that key, ``reduce`` (``max`` or ``_count``)
+    folds the values of all trials, and the suite passes only if
+    ``compare(reduced, threshold)`` holds for every key. ``fixed`` maps keys
+    to ``(value, compare, threshold)`` judged the same way without trials;
+    ``info`` holds unjudged entries reported after the trial count.
+    """
+    rows = [trial(seed) for seed in seeds]
+    result = {"name": name, "trials": len(seeds), **(info or {})}
+    passed = True
+    for key, (reduce, compare, threshold) in metrics.items():
+        result[key] = reduce(row[key] for row in rows)
+        passed = passed and compare(result[key], threshold)
+    for key, (value, compare, threshold) in (fixed or {}).items():
+        result[key] = value
+        passed = passed and compare(value, threshold)
+    result["passed"] = bool(passed)
+    return result
 
 
 def _draw_operator(rng, rows, cols, rank, gamma_lo, gamma_hi, kappa_hi):
@@ -77,7 +97,7 @@ def _draw_operator(rng, rows, cols, rank, gamma_lo, gamma_hi, kappa_hi):
     return random_operator(spec)
 
 
-def suite_mp_axioms(trials, max_dim, seed, tol: Tolerances | None = None, jobs: int = 1):
+def suite_mp_axioms(trials, max_dim, seed, tol: Tolerances | None = None):
     """Pseudoinverse axioms, inverse identities, and the gamma identity."""
     tol = _tol(tol)
 
@@ -119,35 +139,23 @@ def suite_mp_axioms(trials, max_dim, seed, tol: Tolerances | None = None, jobs: 
         if pr.rank:
             gamma_dev = abs(norm_td * reduced_min_modulus(t, tol) - 1.0)
         return {
-            "axiom": worst_axiom,
-            "invol": invol,
-            "adj": adj,
-            "gram": gram,
-            "gamma": gamma_dev,
+            "worst_axiom_residual_rel": worst_axiom,
+            "worst_double_pinv_rel": invol,
+            "worst_adjoint_pinv_rel": adj,
+            "worst_gram_identity_rel": gram,
+            "worst_gamma_identity_dev": gamma_dev,
         }
 
-    rows = _run_trials(trial, _trial_seeds(seed, 1, trials), jobs)
-    worst = {key: max(r[key] for r in rows) for key in rows[0]}
-    passed = (
-        worst["axiom"] <= AXIOM_REL
-        and worst["invol"] <= IDENTITY_REL
-        and worst["adj"] <= IDENTITY_REL
-        and worst["gram"] <= IDENTITY_REL
-        and worst["gamma"] <= GAMMA_IDENTITY_DEV
-    )
-    return {
-        "name": "mp_axioms",
-        "trials": trials,
-        "worst_axiom_residual_rel": worst["axiom"],
-        "worst_double_pinv_rel": worst["invol"],
-        "worst_adjoint_pinv_rel": worst["adj"],
-        "worst_gram_identity_rel": worst["gram"],
-        "worst_gamma_identity_dev": worst["gamma"],
-        "passed": bool(passed),
-    }
+    return _run_suite("mp_axioms", trial, _trial_seeds(seed, 1, trials), {
+        "worst_axiom_residual_rel": (max, le, AXIOM_REL),
+        "worst_double_pinv_rel": (max, le, IDENTITY_REL),
+        "worst_adjoint_pinv_rel": (max, le, IDENTITY_REL),
+        "worst_gram_identity_rel": (max, le, IDENTITY_REL),
+        "worst_gamma_identity_dev": (max, le, GAMMA_IDENTITY_DEV),
+    })
 
 
-def suite_stewart(trials, max_dim, seed, tol: Tolerances | None = None, jobs: int = 1):
+def suite_stewart(trials, max_dim, seed, tol: Tolerances | None = None):
     """Stewart update vs oracle plus error-bound domination on the same pairs."""
     tol = _tol(tol)
 
@@ -171,45 +179,28 @@ def suite_stewart(trials, max_dim, seed, tol: Tolerances | None = None, jobs: in
         bound = error_bound_stewart(t, s, tol)
         measured = spectral_norm(pr_sum.pinv - pr_t.pinv)
         return {
-            "oracle": res.oracle_discrepancy / norm_td,
-            "left_right": spectral_norm(res.pinv_updated - right) / max(1.0, norm_td),
-            "rank_mismatch": float(pr_sum.rank != pr_t.rank),
-            "null_gap": principal_angle_gap(
+            "worst_oracle_rel": res.oracle_discrepancy / norm_td,
+            "worst_left_right_rel": spectral_norm(res.pinv_updated - right)
+            / max(1.0, norm_td),
+            "rank_mismatches": pr_sum.rank != pr_t.rank,
+            "worst_null_gap": principal_angle_gap(
                 null_space_basis(t, tol), null_space_basis(t + s, tol), tol
             ),
-            "bound_excess": measured - bound,
-            "bound_ratio": measured / bound if bound > 0.0 else 0.0,
+            "worst_bound_excess": measured - bound,
+            "best_bound_exercise_ratio": measured / bound if bound > 0.0 else 0.0,
         }
 
-    rows = _run_trials(trial, _trial_seeds(seed, 2, trials), jobs)
-    worst_oracle = max(r["oracle"] for r in rows)
-    worst_lr = max(r["left_right"] for r in rows)
-    rank_mismatches = int(sum(r["rank_mismatch"] for r in rows))
-    worst_gap = max(r["null_gap"] for r in rows)
-    worst_excess = max(r["bound_excess"] for r in rows)
-    best_ratio = max(r["bound_ratio"] for r in rows)
-    passed = (
-        worst_oracle <= STEWART_ORACLE_REL
-        and worst_lr <= LEFT_RIGHT_REL
-        and rank_mismatches == 0
-        and worst_gap <= NULL_GAP
-        and worst_excess <= BOUND_SLACK
-        and best_ratio >= EXERCISE_RATIO
-    )
-    return {
-        "name": "stewart_update",
-        "trials": trials,
-        "worst_oracle_rel": worst_oracle,
-        "worst_left_right_rel": worst_lr,
-        "rank_mismatches": rank_mismatches,
-        "worst_null_gap": worst_gap,
-        "worst_bound_excess": worst_excess,
-        "best_bound_exercise_ratio": best_ratio,
-        "passed": bool(passed),
-    }
+    return _run_suite("stewart_update", trial, _trial_seeds(seed, 2, trials), {
+        "worst_oracle_rel": (max, le, STEWART_ORACLE_REL),
+        "worst_left_right_rel": (max, le, LEFT_RIGHT_REL),
+        "rank_mismatches": (_count, eq, 0),
+        "worst_null_gap": (max, le, NULL_GAP),
+        "worst_bound_excess": (max, le, BOUND_SLACK),
+        "best_bound_exercise_ratio": (max, ge, EXERCISE_RATIO),
+    })
 
 
-def suite_relative(trials, max_dim, seed, tol: Tolerances | None = None, jobs: int = 1):
+def suite_relative(trials, max_dim, seed, tol: Tolerances | None = None):
     """Surjective relative updates, norm caps, and the gamma-direction regression."""
     tol = _tol(tol)
 
@@ -230,39 +221,23 @@ def suite_relative(trials, max_dim, seed, tol: Tolerances | None = None, jobs: i
         measured = spectral_norm(pr_sum.pinv - pr_t.pinv)
         scaled = (1.0 - lam) * pr_t.gamma
         return {
-            "oracle": res.oracle_discrepancy / max(1.0, norm_td),
-            "cap_excess": spectral_norm(pr_sum.pinv) - cap,
-            "bound_excess": measured - bound,
-            "corrected_gamma_violation": scaled - pr_sum.gamma,
-            "printed_gamma_fails": float(pr_sum.gamma > scaled + BOUND_SLACK),
+            "worst_oracle_rel": res.oracle_discrepancy / max(1.0, norm_td),
+            "worst_norm_cap_excess": spectral_norm(pr_sum.pinv) - cap,
+            "worst_bound_excess": measured - bound,
+            "worst_corrected_gamma_violation": scaled - pr_sum.gamma,
+            "printed_gamma_direction_failures": pr_sum.gamma > scaled + BOUND_SLACK,
         }
 
-    rows = _run_trials(trial, _trial_seeds(seed, 3, trials), jobs)
-    worst_oracle = max(r["oracle"] for r in rows)
-    worst_cap = max(r["cap_excess"] for r in rows)
-    worst_bound = max(r["bound_excess"] for r in rows)
-    worst_gamma = max(r["corrected_gamma_violation"] for r in rows)
-    printed_fails = int(sum(r["printed_gamma_fails"] for r in rows))
-    passed = (
-        worst_oracle <= RELATIVE_ORACLE_REL
-        and worst_cap <= BOUND_SLACK
-        and worst_bound <= BOUND_SLACK
-        and worst_gamma <= BOUND_SLACK
-        and printed_fails >= 1
-    )
-    return {
-        "name": "relative_update",
-        "trials": trials,
-        "worst_oracle_rel": worst_oracle,
-        "worst_norm_cap_excess": worst_cap,
-        "worst_bound_excess": worst_bound,
-        "worst_corrected_gamma_violation": worst_gamma,
-        "printed_gamma_direction_failures": printed_fails,
-        "passed": bool(passed),
-    }
+    return _run_suite("relative_update", trial, _trial_seeds(seed, 3, trials), {
+        "worst_oracle_rel": (max, le, RELATIVE_ORACLE_REL),
+        "worst_norm_cap_excess": (max, le, BOUND_SLACK),
+        "worst_bound_excess": (max, le, BOUND_SLACK),
+        "worst_corrected_gamma_violation": (max, le, BOUND_SLACK),
+        "printed_gamma_direction_failures": (_count, ge, 1),
+    })
 
 
-def suite_neumann(trials, max_dim, seed, tol: Tolerances | None = None, jobs: int = 1):
+def suite_neumann(trials, max_dim, seed, tol: Tolerances | None = None):
     """Truncated-series pseudoinverse against its geometric certification."""
     tol = _tol(tol)
 
@@ -278,32 +253,22 @@ def suite_neumann(trials, max_dim, seed, tol: Tolerances | None = None, jobs: in
         s = t + d
 
         res = neumann_pinv(t, s, tol=tol)
-        norm_td = spectral_norm(pseudoinverse(t, tol).pinv)
         final_err = spectral_norm(res.pinv_s - pseudoinverse(s, tol).pinv)
         cap = math.ceil(math.log(1e-12) / math.log(res.ratio)) + 2
         return {
-            "tail_excess": final_err - res.residual_bound,
-            "terms_over_cap": float(res.terms_used > cap),
-            "not_converged": float(not res.converged),
-            "ratio_dev": abs(res.ratio - rho) / max(1.0, norm_td),
+            "worst_tail_excess": final_err - res.residual_bound,
+            "trials_over_term_cap": res.terms_used > cap,
+            "unconverged_trials": not res.converged,
         }
 
-    rows = _run_trials(trial, _trial_seeds(seed, 4, trials), jobs)
-    worst_tail = max(r["tail_excess"] for r in rows)
-    over_cap = int(sum(r["terms_over_cap"] for r in rows))
-    unconverged = int(sum(r["not_converged"] for r in rows))
-    passed = worst_tail <= BOUND_SLACK and over_cap == 0 and unconverged == 0
-    return {
-        "name": "neumann_series",
-        "trials": trials,
-        "worst_tail_excess": worst_tail,
-        "trials_over_term_cap": over_cap,
-        "unconverged_trials": unconverged,
-        "passed": bool(passed),
-    }
+    return _run_suite("neumann_series", trial, _trial_seeds(seed, 4, trials), {
+        "worst_tail_excess": (max, le, BOUND_SLACK),
+        "trials_over_term_cap": (_count, eq, 0),
+        "unconverged_trials": (_count, eq, 0),
+    })
 
 
-def suite_reverse_order(trials, max_dim, seed, tol: Tolerances | None = None, jobs: int = 1):
+def suite_reverse_order(trials, max_dim, seed, tol: Tolerances | None = None):
     """Three-way reverse-order agreement plus the fixed counterexample."""
     tol = _tol(tol)
 
@@ -320,15 +285,11 @@ def suite_reverse_order(trials, max_dim, seed, tol: Tolerances | None = None, jo
             orthonormal_range_basis(fp.a, tol), orthonormal_range_basis(f, tol), tol
         )
         return {
-            "disc": fp.max_pairwise_discrepancy / max(1.0, spectral_norm(fp.pinv_oracle)),
-            "rank_mismatch": float(a_rank != k),
-            "range_gap": range_gap,
+            "worst_three_way_rel": fp.max_pairwise_discrepancy
+            / max(1.0, spectral_norm(fp.pinv_oracle)),
+            "rank_mismatches": a_rank != k,
+            "worst_range_gap": range_gap,
         }
-
-    rows = _run_trials(trial, _trial_seeds(seed, 5, trials), jobs)
-    worst_disc = max(r["disc"] for r in rows)
-    rank_mismatches = int(sum(r["rank_mismatch"] for r in rows))
-    worst_range_gap = max(r["range_gap"] for r in rows)
 
     # fixed hypothesis-violating fixture: F drops full column rank and the
     # law visibly fails
@@ -340,28 +301,23 @@ def suite_reverse_order(trials, max_dim, seed, tol: Tolerances | None = None, jo
     )
     hypotheses_reject = not check_rol_hypotheses(f0, g0, tol)
 
-    passed = (
-        worst_disc <= ROL_REL
-        and rank_mismatches == 0
-        and worst_range_gap <= NULL_GAP
-        and counterexample_gap > ROL_COUNTEREXAMPLE_GAP
-        and hypotheses_reject
+    return _run_suite(
+        "reverse_order_law",
+        trial,
+        _trial_seeds(seed, 5, trials),
+        {
+            "worst_three_way_rel": (max, le, ROL_REL),
+            "rank_mismatches": (_count, eq, 0),
+            "worst_range_gap": (max, le, NULL_GAP),
+        },
+        fixed={
+            "counterexample_gap": (counterexample_gap, gt, ROL_COUNTEREXAMPLE_GAP),
+            "counterexample_rejected": (hypotheses_reject, eq, True),
+        },
     )
-    return {
-        "name": "reverse_order_law",
-        "trials": trials,
-        "worst_three_way_rel": worst_disc,
-        "rank_mismatches": rank_mismatches,
-        "worst_range_gap": worst_range_gap,
-        "counterexample_gap": counterexample_gap,
-        "counterexample_rejected": bool(hypotheses_reject),
-        "passed": bool(passed),
-    }
 
 
-def suite_gamma_continuity(
-    n_ops, seq_len, max_dim, seed, tol: Tolerances | None = None, jobs: int = 1
-):
+def suite_gamma_continuity(n_ops, seq_len, max_dim, seed, tol: Tolerances | None = None):
     """gamma(T + S/n) -> gamma(T) monotonically, dominated by the beta bound."""
     tol = _tol(tol)
 
@@ -390,29 +346,22 @@ def suite_gamma_continuity(
             and bounds[-1] <= bounds[0] / 5.0 + MONOTONE_SLACK
         )
         return {
-            "excess": worst_excess,
-            "mono": mono_violation,
-            "decay_fail": float(not decay_ok),
+            "worst_bound_excess": worst_excess,
+            "worst_monotonicity_violation": mono_violation,
+            "decay_failures": not decay_ok,
         }
 
-    rows = _run_trials(trial, _trial_seeds(seed, 6, n_ops), jobs)
-    worst_excess = max(r["excess"] for r in rows)
-    worst_mono = max(r["mono"] for r in rows)
-    decay_failures = int(sum(r["decay_fail"] for r in rows))
-    passed = (
-        worst_excess <= BOUND_SLACK
-        and worst_mono <= MONOTONE_SLACK
-        and decay_failures == 0
+    return _run_suite(
+        "gamma_continuity",
+        trial,
+        _trial_seeds(seed, 6, n_ops),
+        {
+            "worst_bound_excess": (max, le, BOUND_SLACK),
+            "worst_monotonicity_violation": (max, le, MONOTONE_SLACK),
+            "decay_failures": (_count, eq, 0),
+        },
+        info={"sequence_length": seq_len},
     )
-    return {
-        "name": "gamma_continuity",
-        "trials": n_ops,
-        "sequence_length": seq_len,
-        "worst_bound_excess": worst_excess,
-        "worst_monotonicity_violation": worst_mono,
-        "decay_failures": decay_failures,
-        "passed": bool(passed),
-    }
 
 
 def suite_typo_regressions(seed, tol: Tolerances | None = None):
@@ -449,18 +398,17 @@ def run_verification(
     trials: int = 200,
     seed: int = 0,
     max_dim: int = 20,
-    jobs: int = 1,
     tol: Tolerances | None = None,
 ):
     """Run every suite; returns (ordered verdict dict, overall pass flag)."""
     tol = _tol(tol)
     suites = [
-        suite_mp_axioms(trials, max_dim, seed, tol, jobs),
-        suite_stewart(trials, max_dim, seed, tol, jobs),
-        suite_relative(trials, max_dim, seed, tol, jobs),
-        suite_neumann(trials, max_dim, seed, tol, jobs),
-        suite_reverse_order(trials, max_dim, seed, tol, jobs),
-        suite_gamma_continuity(max(10, trials // 10), 20, max_dim, seed, tol, jobs),
+        suite_mp_axioms(trials, max_dim, seed, tol),
+        suite_stewart(trials, max_dim, seed, tol),
+        suite_relative(trials, max_dim, seed, tol),
+        suite_neumann(trials, max_dim, seed, tol),
+        suite_reverse_order(trials, max_dim, seed, tol),
+        suite_gamma_continuity(max(10, trials // 10), 20, max_dim, seed, tol),
         suite_typo_regressions(seed, tol),
     ]
     verdicts = {}

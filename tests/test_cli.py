@@ -144,6 +144,16 @@ class TestExitCodeContract:
         assert err["type"] == "MatrixMarketError"
         assert err["message"] == f"{bad}:4: non-finite value 'nan'"
 
+    def test_unallocatable_size_exits_2_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "huge.mtx"
+        bad.write_text(
+            "%%MatrixMarket matrix coordinate real general\n99999999999999999999 2 0\n")
+        code, out, _ = run_cli(capsys, "--json", "pinv", str(bad))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "MatrixMarketError"
+        assert err["message"].startswith(f"{bad}:2: cannot allocate")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "pinv", "does-not-exist.mtx")
         assert code == 2
@@ -262,14 +272,14 @@ class TestVerifyCommand:
         assert rep1 == rep2
 
     def test_jobs_do_not_change_results(self, capsys):
+        # --jobs is accepted and ignored: the report is the run without it
         base = ["--json", "verify", "--trials", "6", "--seed", "7", "--max-dim", "6"]
-        _, out1, _ = run_cli(capsys, *base)
-        _, out2, _ = run_cli(capsys, *(base + ["--jobs", "3"]))
+        code1, out1, _ = run_cli(capsys, *base)
+        code2, out2, _ = run_cli(capsys, *(base + ["--jobs", "3"]))
+        assert code1 == code2 == 0
         rep1, rep2 = json.loads(out1), json.loads(out2)
         rep1.pop("timings")
         rep2.pop("timings")
-        rep1["inputs"].pop("jobs")
-        rep2["inputs"].pop("jobs")
         assert rep1 == rep2
 
     def test_report_round_trips(self, capsys):

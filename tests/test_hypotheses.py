@@ -17,6 +17,7 @@ from pinvperturb import (
 )
 from pinvperturb.generators import (
     GenSpec,
+    adversarial_pair,
     random_contraction,
     random_operator,
     s_alpha,
@@ -186,3 +187,20 @@ class TestRelativeBound:
         _, w1 = check_relative_bound(t, s, 0.4, 0.1, samples=500, seed=3)
         _, w2 = check_relative_bound(t, s, 0.4, 0.1, samples=500, seed=3)
         assert w1 == w2
+
+
+# The absolute floor eq_abs = 1e-10 in Tolerances.eq swallows the violating
+# residual once the pair is scaled far enough down; a fix must remove the
+# xfail marker.
+_EQ_ABS_DEFECT = pytest.mark.xfail(
+    strict=True, reason="known defect: the absolute eq_abs floor certifies tiny pairs")
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("scale", [
+        1.0, 1e-6, 1e-9, pytest.param(1e-12, marks=_EQ_ABS_DEFECT),
+    ])
+    @pytest.mark.parametrize("kind", ["range_violation", "null_violation"])
+    def test_adversarial_pair_rejected_at_every_scale(self, kind, scale):
+        t, s = adversarial_pair(kind, 0)
+        assert not check_stewart_hypotheses(scale * t, scale * s).verdict_stewart

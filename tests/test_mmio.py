@@ -119,6 +119,28 @@ class TestDiagnostics:
             read_matrix(_write(tmp_path, text))
         assert exc.value.line == 4
 
+    # a size numpy cannot even represent; a representable but huge one such as
+    # "100000 100000 0" would really try to allocate, so it is not run
+    UNALLOCATABLE = "99999999999999999999 2 1"
+
+    def test_unallocatable_size_after_bulk_pass(self, tmp_path):
+        body = f"{self.UNALLOCATABLE}\n1 1 5\n"
+        assert mmio._read_bulk(body, "coordinate", "real") is None
+        text = "%%MatrixMarket matrix coordinate real general\n" + body
+        with pytest.raises(MatrixMarketError, match="cannot allocate a 99999999999999999999 x 2") as exc:
+            read_matrix(_write(tmp_path, text))
+        assert exc.value.line == 2
+
+    def test_unallocatable_size_in_scanner(self, tmp_path):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"% the scanner reads this file\n{self.UNALLOCATABLE}\n1 1 5\n"
+        )
+        path = _write(tmp_path, text)
+        with pytest.raises(MatrixMarketError, match="cannot allocate") as exc:
+            read_matrix(path)
+        assert (exc.value.path, exc.value.line) == (str(path), 3)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_matrix(tmp_path / "nope.mtx")

@@ -23,7 +23,7 @@ from pinvperturb import (
     update_stewart,
 )
 from pinvperturb import perturb
-from pinvperturb.generators import GenSpec, random_operator, s_alpha
+from pinvperturb.generators import GenSpec, haar_unitary, random_operator, s_alpha
 from conftest import random_complex
 
 
@@ -292,6 +292,19 @@ class TestNeumannOrderCertificate:
         res = neumann_pinv(*self._pair(ratio))
         assert res.converged
         assert replays == []
+
+    @pytest.mark.parametrize("scale", [
+        1.0,
+        pytest.param(1e-6, marks=pytest.mark.xfail(
+            strict=True, raises=InvariantViolation,
+            reason="known defect: the per-order check has no relative rounding slack")),
+    ])
+    def test_small_ratio_pair_at_small_scale(self, scale):
+        t = random_operator(GenSpec(rows=60, cols=90, rank=60, gamma_target=0.5,
+                                    norm_target=1.5, seed=1))
+        u = haar_unitary(60, np.random.default_rng(0))
+        s = t + 0.005 * (u @ t)
+        assert neumann_pinv(scale * t, scale * s).converged
 
 
 class TestErrorBounds:
