@@ -31,13 +31,13 @@ from .generators import (
     s_alpha,
 )
 from .hypotheses import check_stewart_hypotheses
-from .linalg import Tolerances, singular_values, spectral_norm
+from .linalg import Tolerances, _pair, singular_values, spectral_norm
 from .perturb import (
-    error_bound_lambda2_zero,
-    error_bound_stewart,
-    gamma_continuity_bound,
+    _ding_huang,
+    _error_bound_lambda2_zero,
+    _error_bound_stewart,
+    _gamma_continuity,
     neumann_pinv,
-    norm_bounds_ding_huang,
     update_relative_surjective,
     update_stewart,
 )
@@ -278,10 +278,12 @@ def _cmd_update(args, tol, files):
 
 
 def _cmd_bounds(args, tol, files):
-    t = files.read(args.t)
-    s = files.read(args.s)
+    # T, T+S and |S| are factored or measured once and handed to every bound;
+    # each verdict is what the public bound function returns on (T, S)
+    t, s = _pair(files.read(args.t), files.read(args.s))
     pr_t = pseudoinverse(t, tol)
     pr_sum = pseudoinverse(t + s, tol)
+    norm_s = spectral_norm(s)
     measured_diff = spectral_norm(pr_sum.pinv - pr_t.pinv)
     measured_norm = spectral_norm(pr_sum.pinv)
     verdicts = {
@@ -297,14 +299,14 @@ def _cmd_bounds(args, tol, files):
             failures += 1
 
     try:
-        bound = error_bound_stewart(t, s, tol)
+        bound = _error_bound_stewart(pr_t, s)
         ok = measured_diff <= bound + tol.eq(bound)
         record("stewart", {"applicable": True, "bound": bound,
                            "measured": measured_diff, "dominates": ok}, ok)
     except HypothesisRefusal as exc:
         record("stewart", {"applicable": False, "reason": str(exc)}, True)
     try:
-        bound = error_bound_lambda2_zero(t, s, tol)
+        bound = _error_bound_lambda2_zero(pr_t, s, tol)
         ok = measured_diff <= bound + tol.eq(bound)
         record("lambda2_zero", {"applicable": True, "bound": bound,
                                 "measured": measured_diff, "dominates": ok}, ok)
@@ -312,7 +314,7 @@ def _cmd_bounds(args, tol, files):
         record("lambda2_zero", {"applicable": False, "reason": str(exc)}, True)
     for case in ("injective", "surjective", "general"):
         try:
-            db = norm_bounds_ding_huang(t, s, case, tol)
+            db = _ding_huang(pr_t, t, s, norm_s, case, tol, pr_sum)
             entry = {
                 "applicable": True,
                 "pinv_norm_bound": db.pinv_norm_bound,
@@ -325,7 +327,7 @@ def _cmd_bounds(args, tol, files):
         except HypothesisRefusal as exc:
             record(f"ding_huang_{case}", {"applicable": False, "reason": str(exc)}, True)
     try:
-        achieved, bound = gamma_continuity_bound(t, s, tol)
+        achieved, bound = _gamma_continuity(pr_t, t, s, tol, pr_sum)
         ok = achieved <= bound + tol.eq(max(1.0, bound))
         record("gamma_continuity", {"applicable": True, "bound": bound,
                                     "measured": achieved, "dominates": ok}, ok)

@@ -100,7 +100,12 @@ def s_alpha(t, alpha: float, tol: Tolerances | None = None) -> np.ndarray:
     """
     tol = _tol(tol)
     m = as_matrix(t)
-    gamma = reduced_min_modulus(m, tol)
+    _check_alpha(alpha, reduced_min_modulus(m, tol))
+    return alpha * _s_alpha_direction(m, tol)
+
+
+def _check_alpha(alpha: float, gamma: float) -> None:
+    """Refuse a step ``alpha`` outside (0, 2 gamma), or (0, inf) when gamma is 0."""
     upper = np.inf if gamma == 0.0 else 2.0 * gamma
     if not 0.0 < alpha < upper:
         raise HypothesisRefusal(
@@ -108,8 +113,15 @@ def s_alpha(t, alpha: float, tol: Tolerances | None = None) -> np.ndarray:
             " = (0, 2/‖T†‖)",
             condition="alpha",
         )
+
+
+def _s_alpha_direction(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """T (I + T*T)^-1 for a validated matrix: :func:`s_alpha` is alpha times it.
+
+    A caller that needs S_alpha for several steps solves once and scales.
+    """
     gram = np.eye(m.shape[1], dtype=np.complex128) + adjoint(m) @ m
-    return alpha * solve_from_right(m, gram, tol)
+    return solve_from_right(m, gram, tol)
 
 
 def commute_identity_check(t, tol: Tolerances | None = None) -> float:

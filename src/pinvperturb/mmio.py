@@ -7,9 +7,10 @@ significant digits so a write/read round trip is bit-exact for binary64.
 A well-formed file is parsed in bulk: one byte-level numpy pass counts the
 tokens on each line, every value is parsed into one array, and coordinate
 indices are range-checked and duplicates accumulated (in file order) as
-arrays. Anything the bulk pass does not accept -- comments, non-ASCII text,
-a malformed or out-of-range token, a wrong count -- is handed to a
-line-by-line scanner, which returns the same matrix or raises the
+arrays. A block of ``%`` comment lines right after the banner, such as
+``scipy.io.mmwrite`` writes, is skipped. Anything else the bulk pass does
+not accept -- a comment further down, non-ASCII text, a malformed or
+out-of-range token, a wrong count -- is handed to a line-by-line scanner, which returns the same matrix or raises the
 :class:`MatrixMarketError` that names the offending line. Non-finite values
 (``nan``, ``inf``, ``1e400``) are refused on reading as on writing.
 """
@@ -146,12 +147,29 @@ def _line_widths(body: str):
     return widths[widths > 0]
 
 
+def _skip_comments(body: str) -> str | None:
+    """``body`` after its leading ``%`` lines, each ended by its "\n".
+
+    None when such a line holds another line break, after which the scanner
+    would read a line that is not a comment.
+    """
+    start = 0
+    while body.startswith("%", start):
+        end = body.find("\n", start) + 1 or len(body)
+        if len(body[start:end].splitlines()) > 1:
+            return None
+        start = end
+    return body[start:]
+
+
 def _read_bulk(body: str | None, fmt: str, field: str):
     """Parse a well-formed body in whole-array passes.
 
     Returns None for anything it does not accept, a body of None included;
     the scanner then decides, so this path never reports an error itself.
     """
+    if body is not None:
+        body = _skip_comments(body)
     if body is None or "%" in body or not body.isascii():
         return None
     per_value = 1 if field == "real" else 2

@@ -5,6 +5,14 @@ error when they fail), then computes the closed form, and finally certifies
 the result against the direct SVD pseudoinverse of the perturbed operator.
 A certified-route/oracle mismatch is an :class:`InvariantViolation`, never a
 silent fallback.
+
+The bound functions are thin wrappers: each validates (T, S), factors what
+it needs, and hands the :class:`PinvResult` of T (and, where it is known,
+that of T+S) to a private helper -- :func:`_error_bound_stewart`,
+:func:`_error_bound_lambda2_zero`, :func:`_gamma_continuity` and
+:func:`_ding_huang`. A caller that runs several of them on one pair, like
+the ``bounds`` command or the gamma-continuity sequences of ``verify``,
+factors each operator once and calls the helpers directly.
 """
 
 import math
@@ -31,7 +39,7 @@ from .linalg import (
     spectral_norm,
     svd,
 )
-from .pinv import _norm_pinv, pseudoinverse
+from .pinv import PinvResult, _norm_pinv, pseudoinverse
 
 
 @dataclass(frozen=True)
@@ -383,7 +391,11 @@ def error_bound_stewart(t, s, tol: Tolerances | None = None) -> float:
     """A-priori bound |S| |T'|^2 / (1 - |T'S|) on |(T+S)' - T'|."""
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    pr = pseudoinverse(mt, tol)
+    return _error_bound_stewart(pseudoinverse(mt, tol), ms)
+
+
+def _error_bound_stewart(pr: PinvResult, ms) -> float:
+    """:func:`error_bound_stewart` on the factorization ``pr`` of T."""
     norm_tds = spectral_norm(pr.pinv @ ms)
     if norm_tds >= 1.0:
         raise HypothesisRefusal(
@@ -400,8 +412,12 @@ def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
     """
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    prt = pseudoinverse(mt, tol)
-    rows = mt.shape[0]
+    return _error_bound_lambda2_zero(pseudoinverse(mt, tol), ms, tol)
+
+
+def _error_bound_lambda2_zero(prt: PinvResult, ms, tol: Tolerances) -> float:
+    """:func:`error_bound_lambda2_zero` on the factorization ``prt`` of T."""
+    rows = ms.shape[0]
     if prt.rank < rows:
         raise HypothesisRefusal(
             f"error bound refused: T is not surjective (rank {prt.rank} < {rows})",
@@ -433,7 +449,16 @@ def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, 
     """
     tol = _tol(tol)
     mt, ms = _pair(t, s)
-    pr = pseudoinverse(mt, tol)
+    return _gamma_continuity(pseudoinverse(mt, tol), mt, ms, tol)
+
+
+def _gamma_continuity(pr: PinvResult, mt, ms, tol: Tolerances,
+                      pr_sum: PinvResult | None = None) -> tuple[float, float]:
+    """:func:`gamma_continuity_bound` on the factorization ``pr`` of T.
+
+    ``pr_sum`` is the factorization of T+S when the caller has it; otherwise
+    T+S is factored once the hypotheses hold.
+    """
     rep = _stewart_report(pr, mt, ms, tol)
     if not rep.verdict_stewart:
         raise HypothesisRefusal(
@@ -444,7 +469,8 @@ def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, 
             condition="stewart",
         )
     norm_td = _norm_pinv(pr)
-    pr_sum = pseudoinverse(mt + ms, tol)
+    if pr_sum is None:
+        pr_sum = pseudoinverse(mt + ms, tol)
     norm_td_sum = _norm_pinv(pr_sum)
     achieved = abs(pr_sum.gamma - rep.gamma_T)
     if rep.norm_S == 0.0:
@@ -476,10 +502,18 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
     if case not in _DH_CASES:
         raise ValueError(f"case must be one of {_DH_CASES}, got {case!r}")
     mt, ms = _pair(t, s)
-    prt = pseudoinverse(mt, tol)
+    return _ding_huang(pseudoinverse(mt, tol), mt, ms, spectral_norm(ms), case, tol)
+
+
+def _ding_huang(prt: PinvResult, mt, ms, norm_s: float, case: str, tol: Tolerances,
+                pr_sum: PinvResult | None = None) -> DingHuangBounds:
+    """:func:`norm_bounds_ding_huang` on the factorization ``prt`` of T.
+
+    ``norm_s`` is |S|; ``pr_sum`` is the factorization of T+S when the caller
+    has it, otherwise T+S is factored once the case applies.
+    """
     td = prt.pinv
     norm_td = _norm_pinv(prt)
-    norm_s = spectral_norm(ms)
     rows, cols = mt.shape
 
     def null_inclusion(label):
@@ -538,7 +572,8 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
         norm_bound = norm_td / (1.0 - small)
         diff_bound = None
 
-    pr_sum = pseudoinverse(mt + ms, tol)
+    if pr_sum is None:
+        pr_sum = pseudoinverse(mt + ms, tol)
     if case == "injective" and pr_sum.rank < cols:
         raise InvariantViolation(
             f"T+S lost injectivity (rank {pr_sum.rank} < {cols}) under the injective case"

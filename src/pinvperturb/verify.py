@@ -6,6 +6,16 @@ SVD oracle, and aggregates worst-case deviations. Trials are seeded
 individually from the master seed and run in order in one thread, so results
 are identical across runs.
 
+A trial factors each operator once. Where it runs several routes on one
+operator it calls their private helpers with that factorization: a
+gamma-continuity sequence factors T once, solves for the S_alpha direction
+T (I + T*T)^-1 once (``generators._s_alpha_direction``) and runs
+``perturb._gamma_continuity`` on each step; the Stewart trial reads its null
+bases from the factorizations of T and T+S and its bound from the update;
+the relative trial calls ``perturb._error_bound_lambda2_zero`` on its
+factorization of T. Each value equals, bit for bit, what the public route
+would return.
+
 The pinned thresholds below are the acceptance contract; they are fixed
 here, not derived from the configurable Tolerances.
 """
@@ -15,21 +25,26 @@ from operator import eq, ge, gt, le
 
 import numpy as np
 
-from .generators import GenSpec, random_operator, random_relative_perturbation, s_alpha
+from .generators import (
+    GenSpec,
+    _check_alpha,
+    _s_alpha_direction,
+    random_operator,
+    random_relative_perturbation,
+    s_alpha,
+)
 from .linalg import (
     Tolerances,
     _tol,
     adjoint,
-    null_space_basis,
     orthonormal_range_basis,
     principal_angle_gap,
     solve_from_right,
     spectral_norm,
 )
 from .perturb import (
-    error_bound_lambda2_zero,
-    error_bound_stewart,
-    gamma_continuity_bound,
+    _error_bound_lambda2_zero,
+    _gamma_continuity,
     neumann_pinv,
     update_relative_surjective,
     update_stewart,
@@ -117,6 +132,7 @@ def suite_mp_axioms(trials, max_dim, seed, tol: Tolerances | None = None):
 
         pr = pseudoinverse(t, tol)
         norm_t = float(pr.sigma[0])
+        # measured, not read as 1 / gamma: worst_gamma_identity_dev tests |T'| gamma = 1
         norm_td = spectral_norm(pr.pinv)
         scale = max(1.0, norm_t, norm_td)
         ax = verify_mp_axioms(t, pr.pinv, tol)
@@ -127,11 +143,10 @@ def suite_mp_axioms(trials, max_dim, seed, tol: Tolerances | None = None):
         ta = adjoint(t)
         back = pseudoinverse(pr.pinv, tol).pinv
         invol = spectral_norm(back - t) / max(1.0, norm_t)
-        adj = spectral_norm(pseudoinverse(ta, tol).pinv - adjoint(pr.pinv)) / max(
-            1.0, norm_td
-        )
+        pinv_ta = pseudoinverse(ta, tol).pinv
+        adj = spectral_norm(pinv_ta - adjoint(pr.pinv)) / max(1.0, norm_td)
         gram_direct = pseudoinverse(ta @ t, tol).pinv
-        gram_factored = pr.pinv @ pseudoinverse(ta, tol).pinv
+        gram_factored = pr.pinv @ pinv_ta
         gram = spectral_norm(gram_direct - gram_factored) / max(
             1.0, spectral_norm(gram_direct)
         )
@@ -176,16 +191,15 @@ def suite_stewart(trials, max_dim, seed, tol: Tolerances | None = None):
         right = solve_from_right(
             pr_t.pinv, np.eye(rows, dtype=np.complex128) + s @ pr_t.pinv, tol
         )
-        bound = error_bound_stewart(t, s, tol)
+        # error_bound_stewart(t, s): the same formula on the same norms
+        bound = res.bound_apriori
         measured = spectral_norm(pr_sum.pinv - pr_t.pinv)
         return {
             "worst_oracle_rel": res.oracle_discrepancy / norm_td,
             "worst_left_right_rel": spectral_norm(res.pinv_updated - right)
             / max(1.0, norm_td),
             "rank_mismatches": pr_sum.rank != pr_t.rank,
-            "worst_null_gap": principal_angle_gap(
-                null_space_basis(t, tol), null_space_basis(t + s, tol), tol
-            ),
+            "worst_null_gap": principal_angle_gap(pr_t.null_basis, pr_sum.null_basis, tol),
             "worst_bound_excess": measured - bound,
             "best_bound_exercise_ratio": measured / bound if bound > 0.0 else 0.0,
         }
@@ -217,7 +231,7 @@ def suite_relative(trials, max_dim, seed, tol: Tolerances | None = None):
         pr_sum = pseudoinverse(t + s, tol)
         norm_td = spectral_norm(pr_t.pinv)
         cap = norm_td / (1.0 - lam)
-        bound = error_bound_lambda2_zero(t, s, tol)
+        bound = _error_bound_lambda2_zero(pr_t, s, tol)
         measured = spectral_norm(pr_sum.pinv - pr_t.pinv)
         scaled = (1.0 - lam) * pr_t.gamma
         return {
@@ -327,13 +341,20 @@ def suite_gamma_continuity(n_ops, seq_len, max_dim, seed, tol: Tolerances | None
         cols = int(rng.integers(2, max_dim + 1))
         rank = int(rng.integers(1, min(rows, cols) + 1))
         t = _draw_operator(rng, rows, cols, rank, 0.3, 1.2, 3.0)
-        alpha = float(rng.uniform(0.05, 0.95)) * 2.0 * reduced_min_modulus(t, tol)
+        gamma = reduced_min_modulus(t, tol)
+        alpha = float(rng.uniform(0.05, 0.95)) * 2.0 * gamma
+        # step n is gamma_continuity_bound(t, s_alpha(t, alpha / n)) bit for bit,
+        # on one factorization of T and one solve for the S_alpha direction;
+        # every alpha / n lies in (0, alpha], so one admissibility check covers all
+        _check_alpha(alpha, gamma)
+        direction = _s_alpha_direction(t, tol)
+        pr = pseudoinverse(t, tol)
 
         achieved, bounds = [], []
         worst_excess = -np.inf
         mono_violation = -np.inf
         for n in range(1, seq_len + 1):
-            a, b = gamma_continuity_bound(t, s_alpha(t, alpha / n, tol), tol)
+            a, b = _gamma_continuity(pr, t, (alpha / n) * direction, tol)
             worst_excess = max(worst_excess, a - b)
             if achieved:
                 mono_violation = max(

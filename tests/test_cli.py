@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from pinvperturb import read_matrix, write_matrix
+from pinvperturb import (
+    GenSpec,
+    HypothesisRefusal,
+    error_bound_lambda2_zero,
+    error_bound_stewart,
+    gamma_continuity_bound,
+    norm_bounds_ding_huang,
+    random_operator,
+    read_matrix,
+    s_alpha,
+    write_matrix,
+)
 from pinvperturb.cli import cli_dispatch
 from pinvperturb.report import Report, parse_report, serialize_report
 
@@ -218,6 +229,81 @@ class TestBoundsAndRol:
                                "--method", "relative", "--lambda1", "0.5")
         assert code == 0
         assert json.loads(out)["verdicts"]["method"] == "relative_surjective"
+
+
+_DH_CASES = ("injective", "surjective", "general")
+
+
+def _public_bounds(t, s):
+    """Each public bound function's return on (T, S), or its refusal text."""
+    def outcome(call, *args):
+        try:
+            return call(t, s, *args)
+        except HypothesisRefusal as exc:
+            return str(exc)
+
+    out = {
+        "stewart": outcome(error_bound_stewart),
+        "lambda2_zero": outcome(error_bound_lambda2_zero),
+        "gamma_continuity": outcome(gamma_continuity_bound),
+    }
+    for case in _DH_CASES:
+        db = outcome(norm_bounds_ding_huang, case)
+        out[f"ding_huang_{case}"] = db if isinstance(db, str) else (
+            db.pinv_norm_bound, db.pinv_diff_bound, db.measured_pinv_norm,
+            db.measured_pinv_diff)
+    return out
+
+
+def _reported_bounds(verdicts):
+    """The same quantities as the ``bounds --json`` verdicts report them."""
+    out = {}
+    for name, entry in verdicts.items():
+        if not isinstance(entry, dict):
+            continue
+        if not entry["applicable"]:
+            out[name] = entry["reason"]
+        elif name == "gamma_continuity":
+            out[name] = (entry["measured"], entry["bound"])
+        elif name.startswith("ding_huang_"):
+            out[name] = (entry["pinv_norm_bound"], entry["pinv_diff_bound"],
+                         entry["measured_pinv_norm"], entry["measured_pinv_diff"])
+        else:
+            out[name] = entry["bound"]
+    return out
+
+
+class TestBoundsMatchPublicFunctions:
+    """``bounds`` factors T and T+S once and hands them to every bound; each
+    verdict must still be exactly what the public function returns."""
+
+    @pytest.mark.parametrize("shape, applicable", [
+        ((4, 3, 2), {"stewart", "ding_huang_general", "gamma_continuity"}),
+        ((5, 8, 5), {"stewart", "lambda2_zero", "ding_huang_surjective",
+                     "ding_huang_general", "gamma_continuity"}),
+        ((8, 5, 5), {"stewart", "ding_huang_injective", "ding_huang_general",
+                     "gamma_continuity"}),
+    ], ids=["rank-deficient", "surjective", "injective"])
+    def test_applicable_pair(self, tmp_path, capsys, shape, applicable):
+        rows, cols, rank = shape
+        t = random_operator(GenSpec(rows=rows, cols=cols, rank=rank, gamma_target=0.5,
+                                    norm_target=1.5, seed=9))
+        paths = [str(tmp_path / "t.mtx"), str(tmp_path / "s.mtx")]
+        write_matrix(t, paths[0])
+        write_matrix(s_alpha(t, 0.6), paths[1])
+        code, out, _ = run_cli(capsys, "--json", "bounds", *paths)
+        assert code == 0
+        reported = _reported_bounds(json.loads(out)["verdicts"])
+        assert {k for k, v in reported.items() if not isinstance(v, str)} == applicable
+        assert reported == _public_bounds(*map(read_matrix, paths))
+
+    @pytest.mark.parametrize("kind", ["range_violation", "null_violation", "norm_violation"])
+    def test_refused_pair(self, fixtures, capsys, kind):
+        code, out, _ = run_cli(capsys, "--json", "bounds", *fixtures[kind])
+        assert code == 0
+        reported = _reported_bounds(json.loads(out)["verdicts"])
+        assert reported["gamma_continuity"].startswith("gamma continuity bound refused")
+        assert reported == _public_bounds(*map(read_matrix, fixtures[kind]))
 
 
 class TestGen:

@@ -212,6 +212,10 @@ _BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u20
 _SPACES = [" ", "  ", "\t", "\x1f", "\xa0", " \t "]
 _ODD_TOKENS = ["junk", "%", "0", "-1", "99", "1_0", "1.0", "+1", "\u0661", "nan", "inf",
                "1e400", "1e-400", "+.5", "0x1", "99999999999999999999"]
+# comment lines for the block after the banner: the bulk pass skips the
+# plain ones and declines those holding another line break
+_LEADING_COMMENTS = ["%", "% note", "%%MatrixMarket matrix array real general", "%\t1 1",
+                     "% caf\xe9", "%\r", "% a\vb", "% 1 1\r2", "%\x85", "% 1\u20282"]
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _value_token = st.one_of(_finite.map(lambda x: "%.17g" % x), _finite.map(repr),
                          st.integers(-(10**6), 10**6).map(str))
@@ -219,12 +223,14 @@ _value_token = st.one_of(_finite.map(lambda x: "%.17g" % x), _finite.map(repr),
 
 @st.composite
 def _mtx_texts(draw):
-    """A valid Matrix Market text, then up to four random defects."""
+    """A valid Matrix Market text, perhaps with a leading comment block, then up
+    to four random defects."""
     fmt = draw(st.sampled_from(["array", "coordinate"]))
     field = draw(st.sampled_from(["real", "complex"]))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     width = 1 if field == "real" else 2
     lines = [f"%%MatrixMarket matrix {fmt} {field} general"]
+    lines += draw(st.lists(st.sampled_from(_LEADING_COMMENTS), max_size=3))
     if fmt == "array":
         lines.append(f"{rows} {cols}")
         count = rows * cols
@@ -340,8 +346,39 @@ class TestBulkEquivalence:
         write_matrix(random_complex(np.random.default_rng(3), 5, 4), tmp_path / "w.mtx")
         read_matrix(tmp_path / "w.mtx")
         assert calls == []
-        read_matrix(_write(tmp_path, "%%MatrixMarket matrix array real general\n% c\n1 1\n2\n"))
+        read_matrix(_write(tmp_path, "%%MatrixMarket matrix array real general\n1 1\n% c\n2\n"))
         assert calls == [1]
+
+    @pytest.mark.parametrize("block, bulk", [
+        ("%\n", True),
+        ("% a\n%\n%% b\n", True),
+        ("% a\r\n", True),
+        ("% caf\xe9\n", True),
+        ("% a\vb\n", False),
+        ("% a\r1 2\n", False),
+        ("  % indented\n", False),
+        ("\n% after a blank line\n", False),
+    ])
+    def test_leading_comment_block(self, tmp_path, monkeypatch, block, bulk):
+        path = tmp_path / "m.mtx"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"%%MatrixMarket matrix array complex general\n{block}1 2\n1 2\n3 -4\n")
+        scanned = _outcome(_scanned, str(path))
+        calls = []
+        scan = mmio._scan
+        monkeypatch.setattr(mmio, "_scan", lambda *a: calls.append(1) or scan(*a))
+        assert _outcome(read_matrix, str(path)) == scanned
+        assert calls == ([] if bulk else [1])
+
+    def test_scipy_output_stays_in_bulk(self, tmp_path, monkeypatch):
+        m = random_complex(np.random.default_rng(12), 6, 4)
+        path = tmp_path / "theirs.mtx"
+        with open(path, "wb") as fh:
+            scipy.io.mmwrite(fh, m, comment="two\nlines")
+        assert path.read_text().startswith("%%MatrixMarket matrix array complex general\n%")
+        scanned = _scanned(path)
+        monkeypatch.setattr(mmio, "_scan", None)
+        assert read_matrix(path).tobytes() == scanned.tobytes()
 
     @given(
         m=st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pinvperturb import (
+    write_matrix,
     GenSpec,
     check_relative_bound,
     check_stewart_hypotheses,
@@ -28,6 +29,8 @@ from pinvperturb import (
     update_relative_surjective,
     update_stewart,
 )
+from pinvperturb.cli import cli_dispatch
+from pinvperturb.verify import run_verification
 
 
 def svd_calls(call, *args):
@@ -124,3 +127,24 @@ def test_neumann_is_one_svd_per_term_plus_a_constant(rho):
     res = neumann_pinv(t, s)
     assert res.converged
     assert len(svd_calls(neumann_pinv, t, s)) == res.terms_used + 10
+
+
+def test_bounds_command_factors_t_and_t_plus_s_once(tmp_path, capsys):
+    # rank 150 of 180: lambda2_zero and the injective and surjective
+    # Ding-Huang cases refuse on rank; Stewart, general Ding-Huang and gamma
+    # continuity apply
+    paths = [str(tmp_path / "t.mtx"), str(tmp_path / "s.mtx")]
+    for m, path in zip(_stewart_pair(180, 180, 150), paths):
+        write_matrix(m, path)
+    calls = svd_calls(cli_dispatch, ["--json", "bounds", *paths])
+    assert len(calls) == 17
+    assert not any(calls)
+    verdicts = capsys.readouterr().out
+    assert verdicts.count('"applicable": true') == 3
+
+
+def test_verification_run():
+    # each gamma-continuity sequence factors T once and solves for the
+    # S_alpha direction once; the Stewart and relative trials read their
+    # null bases and bounds from factorizations they already have
+    assert len(svd_calls(run_verification, 20, 0)) == 4028

@@ -1,9 +1,31 @@
-"""The verify suites' result layout and the pinned thresholds that gate them."""
+"""The verify suites' result layout, the pinned thresholds that gate them,
+and the shared factorizations their trials read."""
 
 import numpy as np
 import pytest
 
-from pinvperturb import verify
+from pinvperturb import (
+    GenSpec,
+    adjoint,
+    error_bound_lambda2_zero,
+    error_bound_stewart,
+    gamma_continuity_bound,
+    null_space_basis,
+    principal_angle_gap,
+    pseudoinverse,
+    random_operator,
+    random_relative_perturbation,
+    reduced_min_modulus,
+    s_alpha,
+    spectral_norm,
+    update_relative_surjective,
+    update_stewart,
+    verify,
+    verify_mp_axioms,
+)
+from pinvperturb.generators import _s_alpha_direction
+from pinvperturb.linalg import DEFAULT_TOL, solve_from_right
+from pinvperturb.perturb import _gamma_continuity
 
 TRIALS, MAX_DIM, SEED = 4, 6, 0
 
@@ -147,3 +169,152 @@ def test_each_gate_judges_its_own_key(observed, monkeypatch, suite, key, constan
     result = SUITES[suite]()
     assert result[key] != observed[suite][key]
     assert result["passed"] is False
+
+
+# -- trials that share one factorization return what the public routes do --
+
+def _bits(values):
+    """Exact float identity, -0.0 apart from 0.0."""
+    return [tuple(float(v).hex() for v in pair) for pair in values]
+
+
+@pytest.mark.parametrize("shape", [(6, 4, 4), (4, 7, 3), (5, 5, 2), (3, 3, 1)])
+def test_shared_factor_gamma_sequence_is_bit_identical(shape):
+    rows, cols, rank = shape
+    gamma_target = 0.4 if rank > 1 else 1.1
+    t = random_operator(GenSpec(rows=rows, cols=cols, rank=rank, gamma_target=gamma_target,
+                                norm_target=1.1, seed=rows * cols))
+    alpha = 1.3 * reduced_min_modulus(t)
+    pr = pseudoinverse(t)
+    direction = _s_alpha_direction(t, DEFAULT_TOL)
+    shared, public = [], []
+    for n in range(1, 21):
+        s = (alpha / n) * direction
+        assert s.tobytes() == s_alpha(t, alpha / n).tobytes()
+        shared.append(_gamma_continuity(pr, t, s, DEFAULT_TOL))
+        public.append(gamma_continuity_bound(t, s_alpha(t, alpha / n)))
+    assert _bits(shared) == _bits(public)
+
+
+def _captured_trial(monkeypatch, suite):
+    """The trial closure and seeds a suite hands to the driver."""
+    captured = {}
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_run_suite", lambda name, trial, seeds, *a, **k:
+                   captured.update(trial=trial, seeds=seeds))
+        suite()
+    return captured["trial"], captured["seeds"]
+
+
+# Reference trials on public routes only: each suite's trial, which shares
+# factorizations between routes, must match its reference bit for bit.
+
+def _public_mp_trial(trial_seed):
+    rng = np.random.default_rng(trial_seed)
+    rows = int(rng.integers(1, MAX_DIM + 1))
+    cols = int(rng.integers(1, MAX_DIM + 1))
+    top = min(rows, cols)
+    mode = int(rng.integers(0, 10))
+    rank = 0 if mode == 0 else top if mode <= 4 else int(rng.integers(1, top + 1))
+    t = verify._draw_operator(rng, rows, cols, rank, 0.1, 1.0, 30.0)
+    pr = pseudoinverse(t)
+    norm_t = float(pr.sigma[0])
+    norm_td = spectral_norm(pr.pinv)
+    scale = max(1.0, norm_t, norm_td)
+    ax = verify_mp_axioms(t, pr.pinv)
+    ta = adjoint(t)
+    gram_direct = pseudoinverse(ta @ t).pinv
+    return {
+        "worst_axiom_residual_rel": max(ax.residual_tTt, ax.residual_tdTtd,
+                                        ax.residual_sym1, ax.residual_sym2) / scale,
+        "worst_double_pinv_rel": spectral_norm(pseudoinverse(pr.pinv).pinv - t)
+        / max(1.0, norm_t),
+        "worst_adjoint_pinv_rel": spectral_norm(pseudoinverse(ta).pinv - adjoint(pr.pinv))
+        / max(1.0, norm_td),
+        "worst_gram_identity_rel": spectral_norm(gram_direct - pr.pinv @ pseudoinverse(ta).pinv)
+        / max(1.0, spectral_norm(gram_direct)),
+        "worst_gamma_identity_dev": abs(norm_td * reduced_min_modulus(t) - 1.0)
+        if pr.rank else 0.0,
+    }
+
+
+def _public_stewart_trial(trial_seed):
+    rng = np.random.default_rng(trial_seed)
+    rows = int(rng.integers(2, MAX_DIM + 1))
+    cols = int(rng.integers(2, MAX_DIM + 1))
+    rank = int(rng.integers(1, min(rows, cols) + 1))
+    t = verify._draw_operator(rng, rows, cols, rank, 0.3, 1.2, 4.0)
+    pr_t = pseudoinverse(t)
+    norm_td = spectral_norm(pr_t.pinv)
+    s = s_alpha(t, (float(rng.uniform(0.0, 1.0)) or 0.5) * 2.0 / norm_td)
+    res = update_stewart(t, s)
+    pr_sum = pseudoinverse(t + s)
+    right = solve_from_right(pr_t.pinv, np.eye(rows, dtype=np.complex128) + s @ pr_t.pinv)
+    bound = error_bound_stewart(t, s)
+    measured = spectral_norm(pr_sum.pinv - pr_t.pinv)
+    return {
+        "worst_oracle_rel": res.oracle_discrepancy / norm_td,
+        "worst_left_right_rel": spectral_norm(res.pinv_updated - right) / max(1.0, norm_td),
+        "rank_mismatches": pr_sum.rank != pr_t.rank,
+        "worst_null_gap": principal_angle_gap(null_space_basis(t), null_space_basis(t + s)),
+        "worst_bound_excess": measured - bound,
+        "best_bound_exercise_ratio": measured / bound if bound > 0.0 else 0.0,
+    }
+
+
+def _public_relative_trial(trial_seed):
+    rng = np.random.default_rng(trial_seed)
+    rows = int(rng.integers(1, MAX_DIM + 1))
+    cols = int(rng.integers(rows, MAX_DIM + 1))
+    t = verify._draw_operator(rng, rows, cols, rows, 0.3, 1.2, 4.0)
+    lam = 0.0 if rng.uniform() < 0.05 else float(rng.uniform(0.0, 0.9))
+    s = random_relative_perturbation(t, lam, int(rng.integers(0, 2**62)))
+    res = update_relative_surjective(t, s, lam, 0.0)
+    pr_t = pseudoinverse(t)
+    pr_sum = pseudoinverse(t + s)
+    norm_td = spectral_norm(pr_t.pinv)
+    scaled = (1.0 - lam) * pr_t.gamma
+    return {
+        "worst_oracle_rel": res.oracle_discrepancy / max(1.0, norm_td),
+        "worst_norm_cap_excess": spectral_norm(pr_sum.pinv) - norm_td / (1.0 - lam),
+        "worst_bound_excess": spectral_norm(pr_sum.pinv - pr_t.pinv)
+        - error_bound_lambda2_zero(t, s),
+        "worst_corrected_gamma_violation": scaled - pr_sum.gamma,
+        "printed_gamma_direction_failures": pr_sum.gamma > scaled + verify.BOUND_SLACK,
+    }
+
+
+def _public_gamma_steps(trial_seed, seq_len=20):
+    """The (achieved, bound) steps of one gamma-continuity trial."""
+    rng = np.random.default_rng(trial_seed)
+    rows = int(rng.integers(2, MAX_DIM + 1))
+    cols = int(rng.integers(2, MAX_DIM + 1))
+    rank = int(rng.integers(1, min(rows, cols) + 1))
+    t = verify._draw_operator(rng, rows, cols, rank, 0.3, 1.2, 3.0)
+    alpha = float(rng.uniform(0.05, 0.95)) * 2.0 * reduced_min_modulus(t)
+    return [gamma_continuity_bound(t, s_alpha(t, alpha / n)) for n in range(1, seq_len + 1)]
+
+
+@pytest.mark.parametrize("suite, reference", [
+    ("mp_axioms", _public_mp_trial),
+    ("stewart_update", _public_stewart_trial),
+    ("relative_update", _public_relative_trial),
+])
+def test_trial_matches_public_routes(monkeypatch, suite, reference):
+    trial, seeds = _captured_trial(monkeypatch, SUITES[suite])
+    for seed in seeds:
+        got, want = trial(seed), reference(seed)
+        assert list(got) == list(want)
+        assert _bits([got.values()]) == _bits([want.values()])
+
+
+def test_gamma_trial_steps_match_public_routes(monkeypatch):
+    trial, seeds = _captured_trial(monkeypatch, SUITES["gamma_continuity"])
+    steps = []
+    real = verify._gamma_continuity
+    monkeypatch.setattr(verify, "_gamma_continuity",
+                        lambda *args: steps.append(real(*args)) or steps[-1])
+    for seed in seeds:
+        steps.clear()
+        trial(seed)
+        assert _bits(steps) == _bits(_public_gamma_steps(seed))
