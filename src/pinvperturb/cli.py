@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,13 +26,14 @@ from .errors import (
 )
 from .generators import (
     GenSpec,
+    _check_alpha,
+    _s_alpha_direction,
     adversarial_pair,
     random_operator,
     random_relative_perturbation,
-    s_alpha,
 )
-from .hypotheses import check_stewart_hypotheses
-from .linalg import Tolerances, _pair, singular_values, spectral_norm
+from .hypotheses import _Pair, check_stewart_hypotheses
+from .linalg import Tolerances, singular_values, spectral_norm
 from .perturb import (
     _ding_huang,
     _error_bound_lambda2_zero,
@@ -41,7 +43,7 @@ from .perturb import (
     update_relative_surjective,
     update_stewart,
 )
-from .pinv import pseudoinverse, reduced_min_modulus, verify_mp_axioms
+from .pinv import _axioms, _gamma, pseudoinverse, reduced_min_modulus
 from .report import Report, serialize_report
 from .reverse_order import reverse_order_pinv
 from .verify import run_verification
@@ -179,20 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _axiom_dict(ax) -> dict:
-    return {
-        "residual_tTt": ax.residual_tTt,
-        "residual_tdTtd": ax.residual_tdTtd,
-        "residual_sym1": ax.residual_sym1,
-        "residual_sym2": ax.residual_sym2,
-        "passed": ax.passed,
-    }
-
-
 def _cmd_pinv(args, tol, files):
     t = files.read(args.t)
     pr = pseudoinverse(t, tol)
-    ax = verify_mp_axioms(t, pr.pinv, tol)
+    norm_pinv = spectral_norm(pr.pinv)
+    ax = _axioms(t, pr.pinv, norm_pinv, tol)
     if args.output:
         files.write(pr.pinv, args.output, format=args.format)
     report = Report(
@@ -204,8 +197,8 @@ def _cmd_pinv(args, tol, files):
             "rank": pr.rank,
             "gamma": pr.gamma,
             "sigma": [float(x) for x in pr.sigma],
-            "norm_pinv": spectral_norm(pr.pinv),
-            "axioms": _axiom_dict(ax),
+            "norm_pinv": norm_pinv,
+            "axioms": asdict(ax),
         },
     )
     return report, 0 if ax.passed else 1
@@ -215,22 +208,8 @@ def _cmd_check(args, tol, files):
     t = files.read(args.t)
     s = files.read(args.s)
     rep = check_stewart_hypotheses(t, s, tol)
-    verdicts = {
-        "norm_TdS": rep.norm_TdS,
-        "norm_STd": rep.norm_STd,
-        "norm_S": rep.norm_S,
-        "gamma_T": rep.gamma_T,
-        "range_incl_residual": rep.range_incl_residual,
-        "null_incl_residual": rep.null_incl_residual,
-        "ttds_residual": rep.ttds_residual,
-        "stdt_residual": rep.stdt_residual,
-        "lambda1_min": rep.lambda1_min,
-        "verdict_stewart": rep.verdict_stewart,
-        "verdict_norm_gamma": rep.verdict_norm_gamma,
-        "verdict_relative": rep.verdict_relative,
-    }
     any_certified = rep.verdict_stewart or rep.verdict_norm_gamma or rep.verdict_relative
-    report = Report(command="check", inputs={"t": args.t, "s": args.s}, verdicts=verdicts)
+    report = Report(command="check", inputs={"t": args.t, "s": args.s}, verdicts=asdict(rep))
     return report, 0 if any_certified else 1
 
 
@@ -278,64 +257,43 @@ def _cmd_update(args, tol, files):
 
 
 def _cmd_bounds(args, tol, files):
-    # T, T+S and |S| are factored or measured once and handed to every bound;
-    # each verdict is what the public bound function returns on (T, S)
-    t, s = _pair(files.read(args.t), files.read(args.s))
-    pr_t = pseudoinverse(t, tol)
-    pr_sum = pseudoinverse(t + s, tol)
-    norm_s = spectral_norm(s)
-    measured_diff = spectral_norm(pr_sum.pinv - pr_t.pinv)
-    measured_norm = spectral_norm(pr_sum.pinv)
+    # every bound reads the one pair, so each factorization and norm is
+    # measured once; each verdict is what the public bound function returns
+    pair = _Pair(files.read(args.t), files.read(args.s), tol)
+    measured_diff = pair.norm_pinv_diff
     verdicts = {
         "measured_pinv_diff": measured_diff,
-        "measured_pinv_norm": measured_norm,
+        "measured_pinv_norm": spectral_norm(pair.pr_sum.pinv),
     }
-    failures = 0
 
-    def record(name, entry, ok):
-        nonlocal failures
-        verdicts[name] = entry
-        if entry["applicable"] and not ok:
-            failures += 1
-
-    try:
-        bound = _error_bound_stewart(pr_t, s)
-        ok = measured_diff <= bound + tol.eq(bound)
-        record("stewart", {"applicable": True, "bound": bound,
-                           "measured": measured_diff, "dominates": ok}, ok)
-    except HypothesisRefusal as exc:
-        record("stewart", {"applicable": False, "reason": str(exc)}, True)
-    try:
-        bound = _error_bound_lambda2_zero(pr_t, s, tol)
-        ok = measured_diff <= bound + tol.eq(bound)
-        record("lambda2_zero", {"applicable": True, "bound": bound,
-                                "measured": measured_diff, "dominates": ok}, ok)
-    except HypothesisRefusal as exc:
-        record("lambda2_zero", {"applicable": False, "reason": str(exc)}, True)
-    for case in ("injective", "surjective", "general"):
+    for name, bound_of in (("stewart", _error_bound_stewart),
+                           ("lambda2_zero", _error_bound_lambda2_zero)):
         try:
-            db = _ding_huang(pr_t, t, s, norm_s, case, tol, pr_sum)
-            entry = {
-                "applicable": True,
-                "pinv_norm_bound": db.pinv_norm_bound,
-                "pinv_diff_bound": db.pinv_diff_bound,
-                "measured_pinv_norm": db.measured_pinv_norm,
-                "measured_pinv_diff": db.measured_pinv_diff,
-                "dominates": True,
-            }
-            record(f"ding_huang_{case}", entry, True)
+            bound = bound_of(pair)
+            verdicts[name] = {"applicable": True, "bound": bound, "measured": measured_diff,
+                              "dominates": measured_diff <= bound + tol.eq(bound)}
         except HypothesisRefusal as exc:
-            record(f"ding_huang_{case}", {"applicable": False, "reason": str(exc)}, True)
+            verdicts[name] = {"applicable": False, "reason": str(exc)}
+    for case in ("injective", "surjective", "general"):
+        name = f"ding_huang_{case}"
+        try:
+            entry = asdict(_ding_huang(pair, case))
+            del entry["case"]
+            verdicts[name] = {"applicable": True, **entry, "dominates": True}
+        except HypothesisRefusal as exc:
+            verdicts[name] = {"applicable": False, "reason": str(exc)}
     try:
-        achieved, bound = _gamma_continuity(pr_t, t, s, tol, pr_sum)
-        ok = achieved <= bound + tol.eq(max(1.0, bound))
-        record("gamma_continuity", {"applicable": True, "bound": bound,
-                                    "measured": achieved, "dominates": ok}, ok)
+        achieved, bound = _gamma_continuity(pair)
+        verdicts["gamma_continuity"] = {
+            "applicable": True, "bound": bound, "measured": achieved,
+            "dominates": achieved <= bound + tol.eq(max(1.0, bound))}
     except HypothesisRefusal as exc:
-        record("gamma_continuity", {"applicable": False, "reason": str(exc)}, True)
+        verdicts["gamma_continuity"] = {"applicable": False, "reason": str(exc)}
 
+    failures = [v for v in verdicts.values()
+                if isinstance(v, dict) and v["applicable"] and not v["dominates"]]
     report = Report(command="bounds", inputs={"t": args.t, "s": args.s}, verdicts=verdicts)
-    return report, 0 if failures == 0 else 1
+    return report, 1 if failures else 0
 
 
 def _cmd_rol(args, tol, files):
@@ -375,19 +333,21 @@ def _cmd_gen(args, tol, files):
             "written": args.output,
             "rank": rank,
             "achieved_norm": float(sigma[0]) if sigma.size else 0.0,
-            "achieved_gamma": reduced_min_modulus(m, tol),
+            "achieved_gamma": _gamma(sigma, m.shape, tol),
         }
     elif args.what == "salpha":
         t = files.read(args.t)
-        alpha = args.alpha if args.alpha is not None else reduced_min_modulus(t, tol)
-        s = s_alpha(t, alpha, tol)
+        gamma = reduced_min_modulus(t, tol)
+        alpha = args.alpha if args.alpha is not None else gamma
+        _check_alpha(alpha, gamma)  # s_alpha(t, alpha), with gamma(T) measured once
+        s = alpha * _s_alpha_direction(t, tol)
         files.write(s, args.output, format=args.format)
-        rep = check_stewart_hypotheses(t, s, tol)
+        pair = _Pair(t, s, tol)
         verdicts = {
             "written": args.output,
             "alpha": alpha,
-            "norm_S": rep.norm_S,
-            "verdict_stewart": rep.verdict_stewart,
+            "norm_S": pair.norm_s,
+            "verdict_stewart": pair.stewart,
         }
         inputs["t"] = args.t
     elif args.what == "relperturb":

@@ -9,12 +9,18 @@ update routes are admissible:
 * the relative bound  |Sx| <= lambda1 |Tx| + lambda2 |(T+S)x|  with
   lambda1 < 1.
 
+Every check reads (T, S) through one :class:`_Pair`, which validates the
+pair and measures each of its quantities once, when first read. The private
+helpers here and in ``perturb`` take that pair and their own route
+parameters only, so a caller running several routes builds the pair once.
+
 Each inclusion is decided by two independent routes (projection residual
 and algebraic residual) that must agree; disagreement raises
 :class:`InvariantViolation`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,52 +52,141 @@ class HypothesisReport:
     verdict_relative: bool
 
 
-def _range_verdict(pr: PinvResult, mt, ms, norm_s: float, tol: Tolerances):
-    """Range inclusion R(S) in R(T) by projection and by TT'S = S."""
-    resid_proj = spectral_norm(ms - pr.proj_range @ ms)
-    resid_alg = spectral_norm(mt @ (pr.pinv @ ms) - ms)
-    thr = tol.eq(norm_s)
-    v_proj, v_alg = resid_proj <= thr, resid_alg <= thr
-    if v_proj != v_alg:
-        raise InvariantViolation(
-            "range-inclusion routes disagree:"
-            f" projection residual {resid_proj:.3e}, algebraic residual {resid_alg:.3e},"
-            f" threshold {thr:.3e}"
-        )
-    return v_proj, resid_proj, resid_alg
+class _Pair:
+    """A validated pair (T, S); each quantity is measured when a route first
+    reads it and kept for the rest of the call.
 
+    A quantity may be set before it is first read: ``pr_t`` to the caller's
+    factorization of T, shared by perturbations of one operator, or |S| and
+    the oracle by ``neumann_pinv``. ``norm_s`` is |S| measured on its own;
+    the relative routes read |S| from their factorization ``f_s``.
+    """
 
-def _null_verdict(pr: PinvResult, mt, ms, norm_s: float, tol: Tolerances):
-    """Null inclusion N(T) in N(S) by null basis and by ST'T = S."""
-    z = pr.null_basis
-    resid_basis = spectral_norm(ms @ z) if z.shape[1] else 0.0
-    resid_alg = spectral_norm((ms @ pr.pinv) @ mt - ms)
-    thr = tol.eq(norm_s)
-    v_basis, v_alg = resid_basis <= thr, resid_alg <= thr
-    if v_basis != v_alg:
-        raise InvariantViolation(
-            "null-inclusion routes disagree:"
-            f" basis residual {resid_basis:.3e}, algebraic residual {resid_alg:.3e},"
-            f" threshold {thr:.3e}"
+    def __init__(self, t, s, tol: Tolerances | None = None, pr_t: PinvResult | None = None):
+        self.tol = _tol(tol)
+        self.mt, self.ms = _pair(t, s)
+        if pr_t is not None:
+            self.pr_t = pr_t
+
+    @cached_property
+    def pr_t(self) -> PinvResult:
+        return pseudoinverse(self.mt, self.tol)
+
+    @cached_property
+    def pr_sum(self) -> PinvResult:
+        """The factorization of T+S, the oracle of every update route."""
+        return pseudoinverse(self.mt + self.ms, self.tol)
+
+    @cached_property
+    def norm_s(self) -> float:
+        return spectral_norm(self.ms)
+
+    @cached_property
+    def f_s(self) -> SvdFactors:
+        return svd(self.ms)
+
+    @cached_property
+    def tds(self) -> np.ndarray:
+        return self.pr_t.pinv @ self.ms
+
+    @cached_property
+    def std(self) -> np.ndarray:
+        return self.ms @ self.pr_t.pinv
+
+    @cached_property
+    def norm_tds(self) -> float:
+        return spectral_norm(self.tds)
+
+    @cached_property
+    def norm_std(self) -> float:
+        return spectral_norm(self.std)
+
+    @cached_property
+    def f_std(self) -> SvdFactors:
+        return svd(self.std)
+
+    @cached_property
+    def v_sum(self) -> np.ndarray:
+        """Right singular vectors of T+S: from ``pr_sum`` when a route has
+        factored T+S as its oracle, else from one economy SVD."""
+        return self.pr_sum.v if "pr_sum" in self.__dict__ else svd(self.mt + self.ms).v
+
+    @cached_property
+    def norm_pinv_diff(self) -> float:
+        """|(T+S)' - T'|, the change every error bound is measured against."""
+        return spectral_norm(self.pr_sum.pinv - self.pr_t.pinv)
+
+    @cached_property
+    def range_inclusion(self) -> tuple[bool, float, float]:
+        """R(S) in R(T): (verdict, projection residual, residual of TT'S = S)."""
+        return self._two_routes(
+            "range", "projection",
+            spectral_norm(self.ms - self.pr_t.proj_range @ self.ms),
+            spectral_norm(self.mt @ self.tds - self.ms),
         )
-    return v_basis, resid_basis, resid_alg
+
+    @cached_property
+    def null_inclusion(self) -> tuple[bool, float, float]:
+        """N(T) in N(S): (verdict, null-basis residual, residual of ST'T = S)."""
+        z = self.pr_t.null_basis
+        return self._two_routes(
+            "null", "basis",
+            spectral_norm(self.ms @ z) if z.shape[1] else 0.0,
+            spectral_norm(self.std @ self.mt - self.ms),
+        )
+
+    def _two_routes(self, space, route, resid, resid_alg):
+        """The verdict both residuals give against ``eq(|S|)``; they must agree."""
+        thr = self.tol.eq(self.norm_s)
+        verdict = resid <= thr
+        if verdict != (resid_alg <= thr):
+            raise InvariantViolation(
+                f"{space}-inclusion routes disagree:"
+                f" {route} residual {resid:.3e}, algebraic residual {resid_alg:.3e},"
+                f" threshold {thr:.3e}"
+            )
+        return verdict, resid, resid_alg
+
+    @property
+    def stewart(self) -> bool:
+        """|T'S| < 1 - margin and both inclusions, which are decided (and
+        their routes cross-checked) even when the norm condition fails."""
+        norm_ok = self.norm_tds < 1.0 - self.tol.margin_strict
+        range_ok, null_ok = self.range_inclusion[0], self.null_inclusion[0]
+        return norm_ok and range_ok and null_ok
+
+    @property
+    def report(self) -> HypothesisReport:
+        """The full :class:`HypothesisReport` of the pair."""
+        _, range_resid, ttds_resid = self.range_inclusion
+        null_ok, null_resid, stdt_resid = self.null_inclusion
+        lambda1_min = self.norm_std if null_ok else None
+        margin = 1.0 - self.tol.margin_strict
+        return HypothesisReport(
+            norm_TdS=self.norm_tds,
+            norm_STd=self.norm_std,
+            norm_S=self.norm_s,
+            gamma_T=self.pr_t.gamma,
+            range_incl_residual=range_resid,
+            null_incl_residual=null_resid,
+            ttds_residual=ttds_resid,
+            stdt_residual=stdt_resid,
+            lambda1_min=lambda1_min,
+            verdict_stewart=self.stewart,
+            verdict_norm_gamma=self.norm_s < self.pr_t.gamma * margin and null_ok,
+            verdict_relative=lambda1_min is not None and lambda1_min < margin,
+        )
 
 
 def check_range_inclusion(t, s, tol: Tolerances | None = None) -> tuple[bool, float]:
     """Decide R(S) in R(T); returns (verdict, worst residual of the two routes)."""
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    pr = pseudoinverse(mt, tol)
-    verdict, resid_proj, resid_alg = _range_verdict(pr, mt, ms, spectral_norm(ms), tol)
+    verdict, resid_proj, resid_alg = _Pair(t, s, tol).range_inclusion
     return verdict, max(resid_proj, resid_alg)
 
 
 def check_null_inclusion(t, s, tol: Tolerances | None = None) -> tuple[bool, float]:
     """Decide N(T) in N(S); returns (verdict, worst residual of the two routes)."""
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    pr = pseudoinverse(mt, tol)
-    verdict, resid_basis, resid_alg = _null_verdict(pr, mt, ms, spectral_norm(ms), tol)
+    verdict, resid_basis, resid_alg = _Pair(t, s, tol).null_inclusion
     return verdict, max(resid_basis, resid_alg)
 
 
@@ -104,46 +199,7 @@ def check_stewart_hypotheses(t, s, tol: Tolerances | None = None) -> HypothesisR
     lambda1 below 1 - margin. Both |T'S| and |S T'| are recorded because
     different statements gate on different sides.
     """
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    return _stewart_report(pseudoinverse(mt, tol), mt, ms, tol)
-
-
-def _stewart_report(pr: PinvResult, mt, ms, tol: Tolerances) -> HypothesisReport:
-    """:func:`check_stewart_hypotheses` on the factorization ``pr`` of T."""
-    norm_tds = spectral_norm(pr.pinv @ ms)
-    norm_std = spectral_norm(ms @ pr.pinv)
-    norm_s = spectral_norm(ms)
-    thr = tol.eq(norm_s)
-
-    range_ok, range_resid, ttds_resid = _range_verdict(pr, mt, ms, norm_s, tol)
-    null_ok, null_resid, stdt_resid = _null_verdict(pr, mt, ms, norm_s, tol)
-    lambda1_min = norm_std if null_ok else None
-
-    verdict_stewart = (
-        norm_tds < 1.0 - tol.margin_strict
-        and ttds_resid <= thr
-        and stdt_resid <= thr
-    )
-    verdict_norm_gamma = (
-        norm_s < pr.gamma * (1.0 - tol.margin_strict) and null_resid <= thr
-    )
-    verdict_relative = lambda1_min is not None and lambda1_min < 1.0 - tol.margin_strict
-
-    return HypothesisReport(
-        norm_TdS=norm_tds,
-        norm_STd=norm_std,
-        norm_S=norm_s,
-        gamma_T=pr.gamma,
-        range_incl_residual=range_resid,
-        null_incl_residual=null_resid,
-        ttds_residual=ttds_resid,
-        stdt_residual=stdt_resid,
-        lambda1_min=lambda1_min,
-        verdict_stewart=verdict_stewart,
-        verdict_norm_gamma=verdict_norm_gamma,
-        verdict_relative=verdict_relative,
-    )
+    return _Pair(t, s, tol).report
 
 
 def estimate_lambda1(t, s, tol: Tolerances | None = None) -> float | None:
@@ -154,13 +210,8 @@ def estimate_lambda1(t, s, tol: Tolerances | None = None) -> float | None:
     the tight constant. Otherwise some x has Tx = 0 but Sx != 0 and no
     finite lambda1 works.
     """
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    pr = pseudoinverse(mt, tol)
-    null_ok, _, _ = _null_verdict(pr, mt, ms, spectral_norm(ms), tol)
-    if not null_ok:
-        return None
-    return spectral_norm(ms @ pr.pinv)
+    pair = _Pair(t, s, tol)
+    return pair.norm_std if pair.null_inclusion[0] else None
 
 
 def _unit_columns(x: np.ndarray) -> np.ndarray:
@@ -187,14 +238,11 @@ def check_relative_bound(
     |Sx| / |Tx|). Returns (worst slack >= -tol, worst slack); the reduction
     is a minimum, so evaluation order never matters.
     """
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
+    pair = _Pair(t, s, tol)
     _check_lambdas(lambda1, lambda2)
     if samples < 1:
         raise ValueError("samples must be a positive integer")
-    prt = pseudoinverse(mt, tol)
-    return _relative_slack(mt, ms, lambda1, lambda2, tol, prt, svd(ms), svd(ms @ prt.pinv),
-                           svd(mt + ms).v, samples, seed)
+    return _relative_slack(pair, lambda1, lambda2, samples, seed)
 
 
 def _check_lambdas(lambda1: float, lambda2: float) -> None:
@@ -208,18 +256,18 @@ def _check_lambdas(lambda1: float, lambda2: float) -> None:
         )
 
 
-def _relative_slack(mt, ms, lambda1: float, lambda2: float, tol: Tolerances, prt: PinvResult,
-                    fs: SvdFactors, f_st: SvdFactors, v_sum: np.ndarray,
+def _relative_slack(pair: _Pair, lambda1: float, lambda2: float,
                     samples: int = 1000, seed: int = 0) -> tuple[bool, float]:
-    """:func:`check_relative_bound` from factorizations the caller already has.
+    """:func:`check_relative_bound` on the pair's factorizations.
 
-    ``prt`` factors T, ``fs`` factors S, ``f_st`` factors S T' and ``v_sum``
-    holds the right singular vectors of T+S; ``|T|`` and ``|S|`` are read
-    from their leading singular values.
+    The directions are the right singular vectors of T, S (``f_s``) and T+S
+    (``v_sum``) and T' times those of S T' (``f_std``); |T| and |S| are read
+    from the leading singular values of T and ``f_s``.
     """
-    msum = mt + ms
-    directions = [prt.v, fs.v, v_sum]
-    pulled = _unit_columns(prt.pinv @ f_st.v)
+    prt, fs = pair.pr_t, pair.f_s
+    mt, ms = pair.mt, pair.ms
+    directions = [prt.v, fs.v, pair.v_sum]
+    pulled = _unit_columns(prt.pinv @ pair.f_std.v)
     if pulled.shape[1]:
         directions.append(pulled)
 
@@ -231,8 +279,8 @@ def _relative_slack(mt, ms, lambda1: float, lambda2: float, tol: Tolerances, prt
     x = np.concatenate(directions, axis=1)
     norm_t = np.linalg.norm(mt @ x, axis=0)
     norm_s = np.linalg.norm(ms @ x, axis=0)
-    norm_sum = np.linalg.norm(msum @ x, axis=0)
+    norm_sum = np.linalg.norm((mt + ms) @ x, axis=0)
     slack = lambda1 * norm_t + lambda2 * norm_sum - norm_s
     worst = float(slack.min())
-    thr = tol.eq(max(float(prt.sigma[0]), float(fs.sigma[0])))
+    thr = pair.tol.eq(max(float(prt.sigma[0]), float(fs.sigma[0])))
     return worst >= -thr, worst

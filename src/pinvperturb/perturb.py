@@ -6,13 +6,13 @@ the result against the direct SVD pseudoinverse of the perturbed operator.
 A certified-route/oracle mismatch is an :class:`InvariantViolation`, never a
 silent fallback.
 
-The bound functions are thin wrappers: each validates (T, S), factors what
-it needs, and hands the :class:`PinvResult` of T (and, where it is known,
-that of T+S) to a private helper -- :func:`_error_bound_stewart`,
-:func:`_error_bound_lambda2_zero`, :func:`_gamma_continuity` and
-:func:`_ding_huang`. A caller that runs several of them on one pair, like
-the ``bounds`` command or the gamma-continuity sequences of ``verify``,
-factors each operator once and calls the helpers directly.
+Each route reads (T, S) through one ``hypotheses._Pair``, which measures
+every quantity of the pair once. A bound function builds the pair and hands
+it to its private helper (:func:`_error_bound_stewart`,
+:func:`_error_bound_lambda2_zero`, :func:`_gamma_continuity`,
+:func:`_ding_huang`), which takes only the pair and its own route
+parameters; a caller that runs several bounds on one pair, like ``bounds``
+or the gamma-continuity sequences of ``verify``, builds one pair for all.
 """
 
 import math
@@ -21,25 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation, SingularMatrixError
-from .hypotheses import (
-    _check_lambdas,
-    _null_verdict,
-    _range_verdict,
-    _relative_slack,
-    _stewart_report,
-)
+from .hypotheses import _check_lambdas, _Pair, _relative_slack
 from .linalg import (
     _EPS,
     Tolerances,
     _pair,
-    _tol,
     mat_close,
     solve_from_right,
     solve_square,
     spectral_norm,
-    svd,
 )
-from .pinv import PinvResult, _norm_pinv, pseudoinverse
+from .pinv import _norm_pinv, pseudoinverse
 
 
 @dataclass(frozen=True)
@@ -104,46 +96,34 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
     T' = (T+S)'(I + S T') is verified, and the returned left form is
     compared against the direct oracle.
     """
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    pr = pseudoinverse(mt, tol)
-    rep = _stewart_report(pr, mt, ms, tol)
+    pair = _Pair(t, s, tol)
+    tol = pair.tol
+    rep = pair.report
     if not rep.verdict_stewart:
-        thr = tol.eq(rep.norm_S)
         if not rep.norm_TdS < 1.0 - tol.margin_strict:
             raise HypothesisRefusal(
                 f"Stewart update refused: ‖T†S‖ = {rep.norm_TdS:.6g} ≥ 1"
                 " (norm condition fails)",
                 condition="norm_TdS",
             )
-        if rep.ttds_residual > thr:
-            raise HypothesisRefusal(
-                "Stewart update refused: range inclusion R(S) ⊆ R(T) fails"
-                f" (‖TT†S - S‖ = {rep.ttds_residual:.6g})",
-                condition="range_inclusion",
-            )
-        raise HypothesisRefusal(
-            "Stewart update refused: null-space inclusion N(T) ⊆ N(S) fails"
-            f" (‖ST†T - S‖ = {rep.stdt_residual:.6g})",
-            condition="null_inclusion",
-        )
+        _require_inclusions(pair, "Stewart update")
 
-    td = pr.pinv
-    norm_td = _norm_pinv(pr)
-    eye_dom = np.eye(mt.shape[1], dtype=np.complex128)
-    eye_cod = np.eye(mt.shape[0], dtype=np.complex128)
-    left = solve_square(eye_dom + td @ ms, td, tol)
-    right = solve_from_right(td, eye_cod + ms @ td, tol)
+    td = pair.pr_t.pinv
+    norm_td = _norm_pinv(pair.pr_t)
+    eye_dom = np.eye(pair.mt.shape[1], dtype=np.complex128)
+    eye_cod = np.eye(pair.mt.shape[0], dtype=np.complex128)
+    left = solve_square(eye_dom + pair.tds, td, tol)
+    right = solve_from_right(td, eye_cod + pair.std, tol)
     if not mat_close(left, right, tol):
         raise InvariantViolation(
             "left and right Stewart forms disagree:"
             f" ‖L - R‖ = {spectral_norm(left - right):.3e}"
         )
-    recovered = left @ (eye_cod + ms @ td)
+    recovered = left @ (eye_cod + pair.std)
     if spectral_norm(recovered - td) > tol.eq(max(spectral_norm(recovered), norm_td)):
         raise InvariantViolation("recovery identity T† = (T+S)†(I + ST†) failed")
 
-    oracle = pseudoinverse(mt + ms, tol).pinv
+    oracle = pair.pr_sum.pinv
     bound = rep.norm_S * norm_td**2 / (1.0 - rep.norm_TdS)
     return UpdateResult(
         pinv_updated=left,
@@ -169,10 +149,9 @@ def update_relative_surjective(
     sampling). Asserts that T+S stays surjective and that
     |(T+S)'| <= (1 + lambda2) / (1 - lambda1) * |T'|.
     """
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    prt = pseudoinverse(mt, tol)
-    rows = mt.shape[0]
+    pair = _Pair(t, s, tol)
+    tol, prt = pair.tol, pair.pr_t
+    rows = pair.mt.shape[0]
     if prt.rank < rows:
         raise HypothesisRefusal(
             f"relative update refused: T is not surjective (rank {prt.rank} < {rows} rows)",
@@ -180,10 +159,9 @@ def update_relative_surjective(
         )
     _check_lambdas(lambda1, lambda2)
     td = prt.pinv
-    fs = svd(ms)
-    f_st = svd(ms @ td)
-    oracle_res = pseudoinverse(mt + ms, tol)
-    ok, worst = _relative_slack(mt, ms, lambda1, lambda2, tol, prt, fs, f_st, oracle_res.v)
+    # factored before the slack check, which then reads its right vectors
+    oracle_res = pair.pr_sum
+    ok, worst = _relative_slack(pair, lambda1, lambda2)
     if not ok:
         raise HypothesisRefusal(
             "relative update refused: bound"
@@ -196,7 +174,7 @@ def update_relative_surjective(
     norm_td = _norm_pinv(prt)
     eye_cod = np.eye(rows, dtype=np.complex128)
     try:
-        updated = solve_from_right(td, eye_cod + ms @ td, tol)
+        updated = solve_from_right(td, eye_cod + pair.std, tol)
     except SingularMatrixError as exc:
         raise InvariantViolation(
             "(I + ST†) is numerically singular although the relative bound holds:"
@@ -216,8 +194,8 @@ def update_relative_surjective(
             f" {norm_cap:.6g}"
         )
 
-    norm_std = float(f_st.sigma[0])
-    norm_s = float(fs.sigma[0])
+    norm_std = float(pair.f_std.sigma[0])
+    norm_s = float(pair.f_s.sigma[0])
     bound = None
     if lambda2 == 0.0 and norm_std < 1.0:
         bound = norm_td**2 * norm_s / (1.0 - norm_std)
@@ -227,7 +205,7 @@ def update_relative_surjective(
         bound_apriori=bound,
         oracle_discrepancy=spectral_norm(updated - oracle_res.pinv),
         norms_used={
-            "norm_TdS": spectral_norm(td @ ms),
+            "norm_TdS": pair.norm_tds,
             "norm_STd": norm_std,
             "norm_S": norm_s,
             "norm_Td": norm_td,
@@ -248,43 +226,48 @@ def neumann_pinv(
     |(S - T) T'| is below 1; then the minimal lambda1 for the difference
     equals the ratio and the alternating series converges geometrically to
     S' = T' (I + (S - T) T')^-1. Terms accumulate until the next term drops
-    below eps_series (default 1e-12 * |T'|) or max_terms is hit. Every
+    below eps_series (default 1e-12 * |T'|) or max_terms is hit; a
+    non-finite or non-positive eps_series and a max_terms below 1 are
+    refused with ``ValueError`` before anything is factored. Every
     partial sum is then certified against the direct oracle within its
     geometric tail, from one measured oracle error at the final order (see
     :class:`NeumannResult`).
     """
-    tol = _tol(tol)
     mt, ms = _pair(t, s)
-    prt = pseudoinverse(mt, tol)
+    if max_terms < 1:
+        raise ValueError("max_terms must be a positive integer")
+    if eps_series is not None and not 0.0 < float(eps_series) < math.inf:
+        raise ValueError(f"eps_series must be finite and positive, got {eps_series}")
+    pair = _Pair(mt, ms - mt, tol)  # T and the perturbation S - T
+    tol, prt = pair.tol, pair.pr_t
     rows = mt.shape[0]
     if prt.rank < rows:
         raise HypothesisRefusal(
             f"Neumann inversion refused: T is not surjective (rank {prt.rank} < {rows})",
             condition="surjective",
         )
-    diff = ms - mt
     td = prt.pinv
     norm_td = _norm_pinv(prt)
-    step = diff @ td
-    f_step = svd(step)
-    ratio = float(f_step.sigma[0])
+    step = pair.std
+    ratio = float(pair.f_std.sigma[0])
     if not ratio < 1.0 - tol.margin_strict:
         raise HypothesisRefusal(
             f"Neumann inversion refused: ratio ‖(S-T)T†‖ = {ratio:.6g} ≥ 1",
             condition="ratio",
         )
-    f_diff = svd(diff)
-    null_ok, resid_basis, resid_alg = _null_verdict(prt, mt, diff, float(f_diff.sigma[0]), tol)
+    # |S - T| is read from the factorization the relative-bound check needs
+    pair.norm_s = float(pair.f_s.sigma[0])
+    null_ok, resid_basis, resid_alg = pair.null_inclusion
     if not null_ok:
         raise HypothesisRefusal(
             "Neumann inversion refused: N(T) ⊄ N(S-T)"
             f" (residual {max(resid_basis, resid_alg):.3e}), no finite λ₁ with λ₂ = 0",
             condition="null_inclusion",
         )
-    # T + (S - T) is S up to rounding, so the oracle's factors supply the
-    # T+S directions of the relative-bound check
-    oracle_res = pseudoinverse(ms, tol)
-    ok, worst = _relative_slack(mt, diff, ratio, 0.0, tol, prt, f_diff, f_step, oracle_res.v)
+    # T + (S - T) is S only up to rounding: the oracle factors S itself, and
+    # its right vectors supply the T+S directions of the relative-bound check
+    pair.pr_sum = pseudoinverse(ms, tol)
+    ok, worst = _relative_slack(pair, ratio, 0.0)
     if not ok:
         raise HypothesisRefusal(
             "Neumann inversion refused: relative bound"
@@ -292,11 +275,9 @@ def neumann_pinv(
             f" (worst slack {worst:.3e})",
             condition="relative_bound",
         )
-    if max_terms < 1:
-        raise ValueError("max_terms must be a positive integer")
 
     eps = 1e-12 * norm_td if eps_series is None else float(eps_series)
-    oracle = oracle_res.pinv
+    oracle = pair.pr_sum.pinv
 
     def tail(k):
         return norm_td * ratio**k / (1.0 - ratio)
@@ -387,58 +368,76 @@ def _replay_orders(td, step, oracle, certified, tail, eq_abs) -> None:
                 )
 
 
+_INCLUSIONS = {
+    "range_inclusion": ("range inclusion R(S) ⊆ R(T)", "‖TT†S - S‖"),
+    "null_inclusion": ("null-space inclusion N(T) ⊆ N(S)", "‖ST†T - S‖"),
+}
+
+
+def _require_inclusions(pair: _Pair, route: str, conditions=tuple(_INCLUSIONS)) -> None:
+    """Refuse ``route`` at the first of ``conditions`` the pair fails."""
+    for condition in conditions:
+        ok, _, resid_alg = getattr(pair, condition)
+        if not ok:
+            statement, residual = _INCLUSIONS[condition]
+            raise HypothesisRefusal(f"{route} refused: {statement} fails"
+                                    f" ({residual} = {resid_alg:.6g})", condition=condition)
+
+
 def error_bound_stewart(t, s, tol: Tolerances | None = None) -> float:
-    """A-priori bound |S| |T'|^2 / (1 - |T'S|) on |(T+S)' - T'|."""
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    return _error_bound_stewart(pseudoinverse(mt, tol), ms)
+    """A-priori bound |S| |T'|^2 / (1 - |T'S|) on |(T+S)' - T'|.
+
+    Refuses unless |T'S| < 1, R(S) lies in R(T) and N(T) lies in N(S): the
+    bound is proved under all three.
+    """
+    return _error_bound_stewart(_Pair(t, s, tol))
 
 
-def _error_bound_stewart(pr: PinvResult, ms) -> float:
-    """:func:`error_bound_stewart` on the factorization ``pr`` of T."""
-    norm_tds = spectral_norm(pr.pinv @ ms)
-    if norm_tds >= 1.0:
+def _error_bound_stewart(pair: _Pair) -> float:
+    """:func:`error_bound_stewart` on ``pair``."""
+    if pair.norm_tds >= 1.0:
         raise HypothesisRefusal(
-            f"error bound undefined: ‖T†S‖ = {norm_tds:.6g} ≥ 1",
+            f"error bound undefined: ‖T†S‖ = {pair.norm_tds:.6g} ≥ 1",
             condition="norm_TdS",
         )
-    return spectral_norm(ms) * _norm_pinv(pr) ** 2 / (1.0 - norm_tds)
+    _require_inclusions(pair, "error bound")
+    return pair.norm_s * _norm_pinv(pair.pr_t) ** 2 / (1.0 - pair.norm_tds)
 
 
 def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
     """A-priori bound |T'|^2 |S| / (1 - |S T'|) for surjective T.
 
-    Also verifies |(I + S T')^-1| <= 1 / (1 - |S T'|) on the way.
+    Refuses unless T is surjective, |S T'| < 1 and N(T) lies in N(S). Also
+    verifies |(I + S T')^-1| <= 1 / (1 - |S T'|) on the way.
     """
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    return _error_bound_lambda2_zero(pseudoinverse(mt, tol), ms, tol)
+    return _error_bound_lambda2_zero(_Pair(t, s, tol))
 
 
-def _error_bound_lambda2_zero(prt: PinvResult, ms, tol: Tolerances) -> float:
-    """:func:`error_bound_lambda2_zero` on the factorization ``prt`` of T."""
-    rows = ms.shape[0]
+def _error_bound_lambda2_zero(pair: _Pair) -> float:
+    """:func:`error_bound_lambda2_zero` on ``pair``."""
+    prt, tol = pair.pr_t, pair.tol
+    rows = pair.ms.shape[0]
     if prt.rank < rows:
         raise HypothesisRefusal(
             f"error bound refused: T is not surjective (rank {prt.rank} < {rows})",
             condition="surjective",
         )
-    td = prt.pinv
-    norm_std = spectral_norm(ms @ td)
+    norm_std = pair.norm_std
     if norm_std >= 1.0:
         raise HypothesisRefusal(
             f"error bound undefined: ‖ST†‖ = {norm_std:.6g} ≥ 1",
             condition="norm_STd",
         )
+    _require_inclusions(pair, "error bound", ("null_inclusion",))
     eye_cod = np.eye(rows, dtype=np.complex128)
-    inv_norm = spectral_norm(solve_square(eye_cod + ms @ td, eye_cod, tol))
+    inv_norm = spectral_norm(solve_square(eye_cod + pair.std, eye_cod, tol))
     cap = 1.0 / (1.0 - norm_std)
     if inv_norm > cap + tol.eq(cap):
         raise InvariantViolation(
             f"‖(I+ST†)⁻¹‖ = {inv_norm:.6g} exceeds 1/(1-‖ST†‖)"
             f" = {cap:.6g}"
         )
-    return _norm_pinv(prt) ** 2 * spectral_norm(ms) / (1.0 - norm_std)
+    return _norm_pinv(prt) ** 2 * pair.norm_s / (1.0 - norm_std)
 
 
 def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, float]:
@@ -447,37 +446,27 @@ def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, 
     beta = |T'| / (|(T+S)'| (1 - |T'S|)); the achieved change is asserted
     not to exceed the bound.
     """
-    tol = _tol(tol)
-    mt, ms = _pair(t, s)
-    return _gamma_continuity(pseudoinverse(mt, tol), mt, ms, tol)
+    return _gamma_continuity(_Pair(t, s, tol))
 
 
-def _gamma_continuity(pr: PinvResult, mt, ms, tol: Tolerances,
-                      pr_sum: PinvResult | None = None) -> tuple[float, float]:
-    """:func:`gamma_continuity_bound` on the factorization ``pr`` of T.
-
-    ``pr_sum`` is the factorization of T+S when the caller has it; otherwise
-    T+S is factored once the hypotheses hold.
-    """
-    rep = _stewart_report(pr, mt, ms, tol)
-    if not rep.verdict_stewart:
+def _gamma_continuity(pair: _Pair) -> tuple[float, float]:
+    """:func:`gamma_continuity_bound` on ``pair``; T+S is factored once the
+    hypotheses hold."""
+    if not pair.stewart:
         raise HypothesisRefusal(
             "gamma continuity bound refused: Stewart hypotheses fail"
-            f" (‖T†S‖ = {rep.norm_TdS:.6g},"
-            f" range residual {rep.ttds_residual:.3e},"
-            f" null residual {rep.stdt_residual:.3e})",
+            f" (‖T†S‖ = {pair.norm_tds:.6g},"
+            f" range residual {pair.range_inclusion[2]:.3e},"
+            f" null residual {pair.null_inclusion[2]:.3e})",
             condition="stewart",
         )
-    norm_td = _norm_pinv(pr)
-    if pr_sum is None:
-        pr_sum = pseudoinverse(mt + ms, tol)
-    norm_td_sum = _norm_pinv(pr_sum)
-    achieved = abs(pr_sum.gamma - rep.gamma_T)
-    if rep.norm_S == 0.0:
+    pr, pr_sum = pair.pr_t, pair.pr_sum
+    achieved = abs(pr_sum.gamma - pr.gamma)
+    if pair.norm_s == 0.0:
         return achieved, 0.0
-    beta = norm_td / (norm_td_sum * (1.0 - rep.norm_TdS))
-    bound = beta * rep.norm_S
-    if achieved > bound + tol.eq(max(1.0, rep.gamma_T)):
+    beta = _norm_pinv(pr) / (_norm_pinv(pr_sum) * (1.0 - pair.norm_tds))
+    bound = beta * pair.norm_s
+    if achieved > bound + pair.tol.eq(max(1.0, pr.gamma)):
         raise InvariantViolation(
             f"gamma moved by {achieved:.6g}, above the continuity bound {bound:.6g}"
         )
@@ -498,26 +487,20 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
     general:    N(T) in N(S), |S| |T'| < 1  ->
                 |(T+S)'| <= |T'| / (1 - |S| |T'|)  (no difference bound).
     """
-    tol = _tol(tol)
     if case not in _DH_CASES:
         raise ValueError(f"case must be one of {_DH_CASES}, got {case!r}")
-    mt, ms = _pair(t, s)
-    return _ding_huang(pseudoinverse(mt, tol), mt, ms, spectral_norm(ms), case, tol)
+    return _ding_huang(_Pair(t, s, tol), case)
 
 
-def _ding_huang(prt: PinvResult, mt, ms, norm_s: float, case: str, tol: Tolerances,
-                pr_sum: PinvResult | None = None) -> DingHuangBounds:
-    """:func:`norm_bounds_ding_huang` on the factorization ``prt`` of T.
-
-    ``norm_s`` is |S|; ``pr_sum`` is the factorization of T+S when the caller
-    has it, otherwise T+S is factored once the case applies.
-    """
-    td = prt.pinv
+def _ding_huang(pair: _Pair, case: str) -> DingHuangBounds:
+    """:func:`norm_bounds_ding_huang` on ``pair``; T+S is factored once the
+    case applies."""
+    prt, tol = pair.pr_t, pair.tol
     norm_td = _norm_pinv(prt)
-    rows, cols = mt.shape
+    rows, cols = pair.mt.shape
 
     def null_inclusion(label):
-        ok, resid_basis, resid_alg = _null_verdict(prt, mt, ms, norm_s, tol)
+        ok, resid_basis, resid_alg = pair.null_inclusion
         if not ok:
             raise HypothesisRefusal(
                 f"{label} case refused: N(T) ⊄ N(S)"
@@ -531,21 +514,19 @@ def _ding_huang(prt: PinvResult, mt, ms, norm_s: float, case: str, tol: Toleranc
                 f"injective case refused: rank {prt.rank} < {cols} columns",
                 condition="injective",
             )
-        ok, resid_proj, resid_alg = _range_verdict(prt, mt, ms, norm_s, tol)
+        ok, resid_proj, resid_alg = pair.range_inclusion
         if not ok:
             raise HypothesisRefusal(
                 "injective case refused: R(S) ⊄ R(T)"
                 f" (residual {max(resid_proj, resid_alg):.3e})",
                 condition="range_inclusion",
             )
-        small = spectral_norm(td @ ms)
+        small = pair.norm_tds
         if not small < 1.0 - tol.margin_strict:
             raise HypothesisRefusal(
                 f"injective case refused: ‖T†S‖ = {small:.6g} ≥ 1",
                 condition="norm_TdS",
             )
-        norm_bound = norm_td / (1.0 - small)
-        diff_bound = small * norm_td / (1.0 - small)
     elif case == "surjective":
         if prt.rank < rows:
             raise HypothesisRefusal(
@@ -553,27 +534,24 @@ def _ding_huang(prt: PinvResult, mt, ms, norm_s: float, case: str, tol: Toleranc
                 condition="surjective",
             )
         null_inclusion("surjective")
-        small = spectral_norm(ms @ td)
+        small = pair.norm_std
         if not small < 1.0 - tol.margin_strict:
             raise HypothesisRefusal(
                 f"surjective case refused: ‖ST†‖ = {small:.6g} ≥ 1",
                 condition="norm_STd",
             )
-        norm_bound = norm_td / (1.0 - small)
-        diff_bound = small * norm_td / (1.0 - small)
     else:
         null_inclusion("general")
-        small = norm_s * norm_td
+        small = pair.norm_s * norm_td
         if not small < 1.0 - tol.margin_strict:
             raise HypothesisRefusal(
                 f"general case refused: ‖S‖‖T†‖ = {small:.6g} ≥ 1",
                 condition="norm_product",
             )
-        norm_bound = norm_td / (1.0 - small)
-        diff_bound = None
+    norm_bound = norm_td / (1.0 - small)
+    diff_bound = None if case == "general" else small * norm_td / (1.0 - small)
 
-    if pr_sum is None:
-        pr_sum = pseudoinverse(mt + ms, tol)
+    pr_sum = pair.pr_sum
     if case == "injective" and pr_sum.rank < cols:
         raise InvariantViolation(
             f"T+S lost injectivity (rank {pr_sum.rank} < {cols}) under the injective case"
@@ -583,7 +561,7 @@ def _ding_huang(prt: PinvResult, mt, ms, norm_s: float, case: str, tol: Toleranc
             f"T+S lost surjectivity (rank {pr_sum.rank} < {rows}) under the surjective case"
         )
     measured_norm = _norm_pinv(pr_sum)
-    measured_diff = spectral_norm(pr_sum.pinv - td)
+    measured_diff = pair.norm_pinv_diff
     if measured_norm > norm_bound + tol.eq(norm_bound):
         raise InvariantViolation(
             f"‖(T+S)†‖ = {measured_norm:.6g} exceeds the {case} bound"

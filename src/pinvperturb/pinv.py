@@ -19,7 +19,6 @@ from .linalg import (
     _tol,
     adjoint,
     as_matrix,
-    mat_close,
     numerical_rank,
     spectral_norm,
 )
@@ -125,9 +124,13 @@ def reduced_min_modulus(t, tol: Tolerances | None = None) -> float:
     """
     tol = _tol(tol)
     m = as_matrix(t)
-    s = _svd(m, compute_uv=False)
-    r = numerical_rank(s, m.shape, tol)
-    return float(s[r - 1]) if r else 0.0
+    return _gamma(_svd(m, compute_uv=False), m.shape, tol)
+
+
+def _gamma(sigma: np.ndarray, shape: tuple, tol: Tolerances) -> float:
+    """Reduced minimum modulus from the singular values of a matrix of ``shape``."""
+    r = numerical_rank(sigma, shape, tol)
+    return float(sigma[r - 1]) if r else 0.0
 
 
 def verify_mp_axioms(t, candidate, tol: Tolerances | None = None) -> AxiomReport:
@@ -144,10 +147,14 @@ def verify_mp_axioms(t, candidate, tol: Tolerances | None = None) -> AxiomReport
         raise ShapeMismatchError(
             f"candidate shape {c.shape} does not match transpose of {m.shape}"
         )
+    return _axioms(m, c, spectral_norm(c), tol)
+
+
+def _axioms(m: np.ndarray, c: np.ndarray, nc: float, tol: Tolerances) -> AxiomReport:
+    """:func:`verify_mp_axioms` on validated matrices, given ``nc = |C|``."""
     tc = m @ c
     ct = c @ m
     nt = spectral_norm(m)
-    nc = spectral_norm(c)
     r1 = spectral_norm(tc @ m - m)
     r2 = spectral_norm(ct @ c - c)
     r3 = spectral_norm(tc.conj().T - tc)
@@ -192,11 +199,15 @@ def mp_representation(t, tol: Tolerances | None = None) -> np.ndarray:
     direct = pseudoinverse(m, tol).pinv
     via_gram = pseudoinverse(ta @ m, tol).pinv @ ta
     via_cogram = ta @ pseudoinverse(m @ ta, tol).pinv
-    if not mat_close(via_gram, direct, tol) or not mat_close(via_cogram, direct, tol):
+    routes = (via_gram, via_cogram)  # mat_close on each, with |direct| measured once
+    norm_direct = spectral_norm(direct)
+    gaps = [spectral_norm(route - direct) for route in routes]
+    if not all(gap <= tol.eq(max(spectral_norm(route), norm_direct))
+               for gap, route in zip(gaps, routes)):
         raise InvariantViolation(
             "pseudoinverse representations disagree"
-            f" (|gram-route - direct| = {spectral_norm(via_gram - direct):.3e},"
-            f" |cogram-route - direct| = {spectral_norm(via_cogram - direct):.3e});"
+            f" (|gram-route - direct| = {gaps[0]:.3e},"
+            f" |cogram-route - direct| = {gaps[1]:.3e});"
             " numerical rank of the Gram products is inconsistent with the source"
         )
     return via_gram

@@ -7,14 +7,14 @@ individually from the master seed and run in order in one thread, so results
 are identical across runs.
 
 A trial factors each operator once. Where it runs several routes on one
-operator it calls their private helpers with that factorization: a
-gamma-continuity sequence factors T once, solves for the S_alpha direction
-T (I + T*T)^-1 once (``generators._s_alpha_direction``) and runs
-``perturb._gamma_continuity`` on each step; the Stewart trial reads its null
-bases from the factorizations of T and T+S and its bound from the update;
-the relative trial calls ``perturb._error_bound_lambda2_zero`` on its
-factorization of T. Each value equals, bit for bit, what the public route
-would return.
+pair it reads them from one ``hypotheses._Pair``: the Stewart trial reads
+T+S, its null bases and |(T+S)' - T'| from its pair and its bound from the
+update; the relative trial calls ``perturb._error_bound_lambda2_zero`` on
+its pair; a gamma-continuity sequence factors T once, solves for the
+S_alpha direction T (I + T*T)^-1 once (``generators._s_alpha_direction``)
+and runs ``perturb._gamma_continuity`` on one pair per step, each built on
+that factorization of T. Each value equals, bit for bit, what the public
+route would return.
 
 The pinned thresholds below are the acceptance contract; they are fixed
 here, not derived from the configurable Tolerances.
@@ -33,6 +33,7 @@ from .generators import (
     random_relative_perturbation,
     s_alpha,
 )
+from .hypotheses import _Pair
 from .linalg import (
     Tolerances,
     _tol,
@@ -187,19 +188,19 @@ def suite_stewart(trials, max_dim, seed, tol: Tolerances | None = None):
         s = s_alpha(t, alpha, tol)
 
         res = update_stewart(t, s, tol)
-        pr_sum = pseudoinverse(t + s, tol)
+        pair = _Pair(t, s, tol, pr_t)
         right = solve_from_right(
-            pr_t.pinv, np.eye(rows, dtype=np.complex128) + s @ pr_t.pinv, tol
+            pr_t.pinv, np.eye(rows, dtype=np.complex128) + pair.std, tol
         )
         # error_bound_stewart(t, s): the same formula on the same norms
         bound = res.bound_apriori
-        measured = spectral_norm(pr_sum.pinv - pr_t.pinv)
+        measured = pair.norm_pinv_diff
         return {
             "worst_oracle_rel": res.oracle_discrepancy / norm_td,
             "worst_left_right_rel": spectral_norm(res.pinv_updated - right)
             / max(1.0, norm_td),
-            "rank_mismatches": pr_sum.rank != pr_t.rank,
-            "worst_null_gap": principal_angle_gap(pr_t.null_basis, pr_sum.null_basis, tol),
+            "rank_mismatches": pair.pr_sum.rank != pr_t.rank,
+            "worst_null_gap": principal_angle_gap(pr_t.null_basis, pair.pr_sum.null_basis, tol),
             "worst_bound_excess": measured - bound,
             "best_bound_exercise_ratio": measured / bound if bound > 0.0 else 0.0,
         }
@@ -227,12 +228,12 @@ def suite_relative(trials, max_dim, seed, tol: Tolerances | None = None):
         s = random_relative_perturbation(t, lam, int(rng.integers(0, 2**62)))
 
         res = update_relative_surjective(t, s, lam, 0.0, tol)
-        pr_t = pseudoinverse(t, tol)
-        pr_sum = pseudoinverse(t + s, tol)
+        pair = _Pair(t, s, tol)
+        pr_t, pr_sum = pair.pr_t, pair.pr_sum
         norm_td = spectral_norm(pr_t.pinv)
         cap = norm_td / (1.0 - lam)
-        bound = _error_bound_lambda2_zero(pr_t, s, tol)
-        measured = spectral_norm(pr_sum.pinv - pr_t.pinv)
+        bound = _error_bound_lambda2_zero(pair)
+        measured = pair.norm_pinv_diff
         scaled = (1.0 - lam) * pr_t.gamma
         return {
             "worst_oracle_rel": res.oracle_discrepancy / max(1.0, norm_td),
@@ -354,7 +355,7 @@ def suite_gamma_continuity(n_ops, seq_len, max_dim, seed, tol: Tolerances | None
         worst_excess = -np.inf
         mono_violation = -np.inf
         for n in range(1, seq_len + 1):
-            a, b = _gamma_continuity(pr, t, (alpha / n) * direction, tol)
+            a, b = _gamma_continuity(_Pair(t, (alpha / n) * direction, tol, pr))
             worst_excess = max(worst_excess, a - b)
             if achieved:
                 mono_violation = max(

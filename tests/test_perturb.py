@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pinvperturb import (
     HypothesisRefusal,
@@ -24,6 +26,7 @@ from pinvperturb import (
 )
 from pinvperturb import perturb
 from pinvperturb.generators import GenSpec, haar_unitary, random_operator, s_alpha
+from pinvperturb.linalg import DEFAULT_TOL
 from conftest import random_complex
 
 
@@ -346,6 +349,63 @@ class TestErrorBounds:
             error_bound_lambda2_zero(np.diag([1.0, 0.0]), np.zeros((2, 2)))
         with pytest.raises(HypothesisRefusal):
             error_bound_lambda2_zero(np.eye(2), np.eye(2))
+
+    def test_stewart_refuses_outside_the_range(self):
+        # |T'S| = 0, but S adds a direction to the range: (T+S)' moves by 1000
+        t, s = np.diag([1.0, 0.0]), np.diag([0.0, 1e-3])
+        with pytest.raises(HypothesisRefusal) as exc:
+            error_bound_stewart(t, s)
+        assert exc.value.condition == "range_inclusion"
+        assert spectral_norm(pseudoinverse(t + s).pinv - pseudoinverse(t).pinv) == 1000.0
+
+    def test_stewart_refuses_outside_the_null_space(self):
+        t, s = np.diag([1.0, 0.0]), np.array([[0.0, 1e-3], [0.0, 0.0]])
+        with pytest.raises(HypothesisRefusal) as exc:
+            error_bound_stewart(t, s)
+        assert exc.value.condition == "null_inclusion"
+
+    def test_lambda2_zero_refuses_outside_the_null_space(self):
+        # T is surjective and |ST'| = 0, but S does not annihilate N(T)
+        with pytest.raises(HypothesisRefusal) as exc:
+            error_bound_lambda2_zero(np.array([[1.0, 0.0]]), np.array([[0.0, 0.5]]))
+        assert exc.value.condition == "null_inclusion"
+
+    @staticmethod
+    def _small_pair(seed):
+        """A pair of up to 3 x 4: T of any rank with gamma in [0.5, 1] and a
+        dense S, or one kept inside R(T), N(T)-perp or both. |S| < 0.9 gamma
+        keeps T+S from the cancellation that can leave a rounding-level
+        singular value above the rank cutoff, a known separate defect."""
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        gamma = float(rng.uniform(0.5, 1.0))
+        norm = gamma * float(rng.uniform(1.0, 3.0)) if rank > 1 else gamma
+        t = random_operator(GenSpec(rows, cols, rank, gamma, norm, int(rng.integers(2**62))))
+        s = random_complex(rng, rows, cols)
+        kind = int(rng.integers(0, 4))
+        if kind == 1:
+            s = t @ rng.standard_normal((cols, cols))
+        elif kind == 2:
+            s = rng.standard_normal((rows, rows)) @ t
+        elif kind == 3:
+            s = t @ rng.standard_normal((cols, rows)) @ t
+        size = spectral_norm(s)
+        return t, (float(rng.uniform(0.0, 0.9)) * gamma / size) * s if size else s
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=3)  # rank-deficient T, S outside its range: Stewart's bound fails
+    @example(seed=378)  # surjective T, S outside N(T)-perp: the lambda2 = 0 bound fails
+    @settings(max_examples=200, deadline=None)
+    def test_a_returned_bound_dominates_the_change(self, seed):
+        t, s = self._small_pair(seed)
+        measured = spectral_norm(pseudoinverse(t + s).pinv - pseudoinverse(t).pinv)
+        for bound_of in (error_bound_stewart, error_bound_lambda2_zero):
+            try:
+                bound = bound_of(t, s)
+            except HypothesisRefusal:
+                continue
+            assert measured <= bound + DEFAULT_TOL.eq(bound)
 
 
 class TestGammaContinuity:

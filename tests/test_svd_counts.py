@@ -5,17 +5,25 @@ from that factorization, so the number of SVDs a call makes is part of its
 contract. Counts are exact and hardware-independent, unlike wall time.
 Every call to ``np.linalg.svd`` is recorded together with whether it formed
 full singular-vector matrices (``compute_uv`` and ``full_matrices`` both
-true); tall and square inputs never need them.
+true); tall and square inputs never need them. A second check hashes every
+SVD input: no public route, and no command but ``verify``, takes an SVD of
+the same matrix twice with the same ``compute_uv``.
 """
+
+import hashlib
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import pinvperturb
 from pinvperturb import (
     write_matrix,
     GenSpec,
     check_relative_bound,
     check_stewart_hypotheses,
+    error_bound_lambda2_zero,
     error_bound_stewart,
     gamma_continuity_bound,
     haar_unitary,
@@ -24,6 +32,7 @@ from pinvperturb import (
     pseudoinverse,
     random_operator,
     random_relative_perturbation,
+    reduced_min_modulus,
     reverse_order_pinv,
     s_alpha,
     update_relative_surjective,
@@ -50,6 +59,24 @@ def svd_calls(call, *args):
     return calls
 
 
+def repeated_svds(call, *args):
+    """Run ``call(*args)``; the SVDs it ran more than once on the same matrix
+    with the same ``compute_uv``, with their repeat counts."""
+    seen = Counter()
+    real = np.linalg.svd
+
+    def recording(a, *svd_args, **kwargs):
+        uv = kwargs.get("compute_uv", svd_args[1] if len(svd_args) > 1 else True)
+        m = np.ascontiguousarray(a)
+        seen[(hashlib.sha256(m.tobytes()).hexdigest(), m.shape, m.dtype.str, bool(uv))] += 1
+        return real(a, *svd_args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", recording)
+        call(*args)
+    return {key[1:]: n for key, n in seen.items() if n > 1}
+
+
 def _operator(rows, cols, rank, seed):
     return random_operator(GenSpec(rows=rows, cols=cols, rank=rank, gamma_target=0.5,
                                    norm_target=2.0, seed=seed))
@@ -68,8 +95,8 @@ STEWART_SHAPES = [(160, 120, 90), (140, 140, 100)]
 @pytest.mark.parametrize("call, count", [
     (check_stewart_hypotheses, 8),
     (update_stewart, 17),
-    (gamma_continuity_bound, 9),
-    (error_bound_stewart, 3),
+    (gamma_continuity_bound, 8),
+    (error_bound_stewart, 7),
 ])
 def test_stewart_routes(shape, call, count):
     calls = svd_calls(call, *_stewart_pair(*shape))
@@ -106,12 +133,22 @@ def _relative_pair():
     return t, random_relative_perturbation(t, 0.5, 5)
 
 
+def _neumann_target(t):
+    return t + 0.5 * (haar_unitary(t.shape[0], np.random.default_rng(1)) @ t)
+
+
 def test_relative_update():
     assert len(svd_calls(update_relative_surjective, *_relative_pair(), 0.5, 0.0)) == 7
 
 
 def test_relative_bound_check():
     assert len(svd_calls(check_relative_bound, *_relative_pair(), 0.5, 0.0)) == 4
+
+
+def test_lambda2_zero_error_bound():
+    # T, |ST'|, the two null-inclusion routes, the singularity check and
+    # norm of (I + ST')^-1, and |S|
+    assert len(svd_calls(error_bound_lambda2_zero, *_relative_pair())) == 7
 
 
 def test_reverse_order_law():
@@ -137,7 +174,7 @@ def test_bounds_command_factors_t_and_t_plus_s_once(tmp_path, capsys):
     for m, path in zip(_stewart_pair(180, 180, 150), paths):
         write_matrix(m, path)
     calls = svd_calls(cli_dispatch, ["--json", "bounds", *paths])
-    assert len(calls) == 17
+    assert len(calls) == 10
     assert not any(calls)
     verdicts = capsys.readouterr().out
     assert verdicts.count('"applicable": true') == 3
@@ -146,5 +183,129 @@ def test_bounds_command_factors_t_and_t_plus_s_once(tmp_path, capsys):
 def test_verification_run():
     # each gamma-continuity sequence factors T once and solves for the
     # S_alpha direction once; the Stewart and relative trials read their
-    # null bases and bounds from factorizations they already have
-    assert len(svd_calls(run_verification, 20, 0)) == 4028
+    # null bases and bounds from factorizations they already have; the
+    # lambda2 = 0 bound of the relative trial decides the null inclusion
+    assert len(svd_calls(run_verification, 20, 0)) == 3864
+
+
+def test_gen_salpha_measures_gamma_once(tmp_path, capsys):
+    t = _operator(120, 90, 60, 3)
+    t_path, s_path = str(tmp_path / "t.mtx"), str(tmp_path / "s.mtx")
+    write_matrix(t, t_path)
+    t = pinvperturb.read_matrix(t_path)
+    # gamma(T), the solve for the S_alpha direction, and the Stewart verdict
+    # with |S|, which needs no |ST'|
+    calls = svd_calls(cli_dispatch, ["--json", "gen", "salpha", "-t", t_path, "-o", s_path])
+    assert len(calls) == 9
+    assert json.loads(capsys.readouterr().out)["verdicts"]["alpha"] == reduced_min_modulus(t)
+    want = str(tmp_path / "want.mtx")
+    write_matrix(s_alpha(t, reduced_min_modulus(t)), want)
+    assert open(s_path, "rb").read() == open(want, "rb").read()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps_series": -1.0}, {"eps_series": 0.0}, {"eps_series": float("nan")},
+    {"max_terms": 0},
+])
+def test_neumann_rejects_its_parameters_before_any_svd(kwargs):
+    t = _operator(60, 90, 60, 7)
+
+    def call():
+        with pytest.raises(ValueError):
+            neumann_pinv(t, _neumann_target(t), **kwargs)
+
+    assert svd_calls(call) == []
+
+
+@pytest.mark.parametrize("flag", [
+    ["--eps-series", "-1"], ["--eps-series", "0"], ["--eps-series", "nan"],
+    ["--max-terms", "0"],
+])
+def test_cli_neumann_rejects_its_parameters_before_any_svd(tmp_path, capsys, flag):
+    t = _operator(30, 45, 30, 7)
+    paths = [str(tmp_path / "t.mtx"), str(tmp_path / "s.mtx")]
+    for m, path in zip((t, _neumann_target(t)), paths):
+        write_matrix(m, path)
+    codes = []
+    calls = svd_calls(lambda: codes.append(cli_dispatch(
+        ["update", *paths, "--method", "neumann", *flag])))
+    assert codes == [2]
+    assert calls == []
+    assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+
+
+# -- no route measures the same matrix twice --
+
+def _relative_pair_small():
+    t = _operator(30, 40, 30, 3)
+    return t, random_relative_perturbation(t, 0.5, 5)
+
+
+def test_no_public_route_repeats_an_svd():
+    t, s = _stewart_pair(40, 30, 20)
+    tr, sr = _relative_pair_small()
+    injective = _operator(40, 30, 30, 3)
+    f, g = _operator(40, 15, 15, 3), _operator(15, 35, 15, 4)
+    routes = {
+        "pseudoinverse": (pseudoinverse, t),
+        "reduced_min_modulus": (reduced_min_modulus, t),
+        "verify_mp_axioms": (pinvperturb.verify_mp_axioms, t, pseudoinverse(t).pinv),
+        "mp_representation": (pinvperturb.mp_representation, t),
+        "least_squares_min_norm": (pinvperturb.least_squares_min_norm, t, np.ones(40)),
+        "check_stewart_hypotheses": (check_stewart_hypotheses, t, s),
+        "check_range_inclusion": (pinvperturb.check_range_inclusion, t, s),
+        "check_null_inclusion": (pinvperturb.check_null_inclusion, t, s),
+        "estimate_lambda1": (pinvperturb.estimate_lambda1, t, s),
+        "check_relative_bound": (check_relative_bound, tr, sr, 0.5, 0.0),
+        "update_stewart": (update_stewart, t, s),
+        "update_relative_surjective": (update_relative_surjective, tr, sr, 0.5, 0.0),
+        "neumann_pinv": (neumann_pinv, tr, _neumann_target(tr)),
+        "error_bound_stewart": (error_bound_stewart, t, s),
+        "error_bound_lambda2_zero": (error_bound_lambda2_zero, tr, sr),
+        "gamma_continuity_bound": (gamma_continuity_bound, t, s),
+        "ding_huang_injective": (norm_bounds_ding_huang, injective, s_alpha(injective, 0.5),
+                                 "injective"),
+        "ding_huang_surjective": (norm_bounds_ding_huang, tr, s_alpha(tr, 0.5), "surjective"),
+        "ding_huang_general": (norm_bounds_ding_huang, t, s, "general"),
+        "reverse_order_pinv": (reverse_order_pinv, f, g),
+        "check_rol_hypotheses": (pinvperturb.check_rol_hypotheses, f, g),
+        "s_alpha": (s_alpha, t, 0.5),
+        "commute_identity_check": (pinvperturb.commute_identity_check, t),
+    }
+    repeats = {name: repeated_svds(call, *args) for name, (call, *args) in routes.items()}
+    assert {name: r for name, r in repeats.items() if r} == {}
+
+
+def test_no_cli_command_except_verify_repeats_an_svd(tmp_path, capsys):
+    t, s = _stewart_pair(40, 30, 20)
+    tr, sr = _relative_pair_small()
+    mats = {"t": t, "s": s, "tr": tr, "sr": sr, "sn": _neumann_target(tr),
+            "f": _operator(40, 15, 15, 3), "g": _operator(15, 35, 15, 4)}
+    p = {name: str(tmp_path / f"{name}.mtx") for name in mats}
+    for name, m in mats.items():
+        write_matrix(m, p[name])
+    out = str(tmp_path / "out.mtx")
+    commands = {
+        "pinv": ["pinv", p["t"], "-o", out],
+        "check": ["check", p["t"], p["s"]],
+        "update_stewart": ["update", p["t"], p["s"], "--method", "stewart", "-o", out],
+        "update_relative": ["update", p["tr"], p["sr"], "--method", "relative",
+                            "--lambda1", "0.5", "-o", out],
+        "update_neumann": ["update", p["tr"], p["sn"], "--method", "neumann", "-o", out],
+        "bounds": ["bounds", p["t"], p["s"]],
+        "bounds_surjective": ["bounds", p["tr"], p["sr"]],
+        "rol": ["rol", p["f"], p["g"], "-o", out],
+        "gen_operator": ["gen", "operator", "--rows", "6", "--cols", "4", "--rank", "3",
+                         "--gamma", "0.5", "-o", out],
+        "gen_salpha": ["gen", "salpha", "-t", p["t"], "-o", out],
+        "gen_relperturb": ["gen", "relperturb", "-t", p["t"], "--lambda1", "0.4", "-o", out],
+        "gen_adversarial": ["gen", "adversarial", "--kind", "null_violation",
+                            "--out-t", out, "--out-s", str(tmp_path / "out_s.mtx")],
+    }
+    codes, repeats = {}, {}
+    for name, argv in commands.items():
+        repeats[name] = repeated_svds(
+            lambda: codes.__setitem__(name, cli_dispatch(["--json", *argv])))
+    capsys.readouterr()
+    assert set(codes.values()) == {0}
+    assert {name: r for name, r in repeats.items() if r} == {}

@@ -24,6 +24,7 @@ from pinvperturb import (
     verify_mp_axioms,
 )
 from pinvperturb.generators import _s_alpha_direction
+from pinvperturb.hypotheses import _Pair
 from pinvperturb.linalg import DEFAULT_TOL, solve_from_right
 from pinvperturb.perturb import _gamma_continuity
 
@@ -191,7 +192,7 @@ def test_shared_factor_gamma_sequence_is_bit_identical(shape):
     for n in range(1, 21):
         s = (alpha / n) * direction
         assert s.tobytes() == s_alpha(t, alpha / n).tobytes()
-        shared.append(_gamma_continuity(pr, t, s, DEFAULT_TOL))
+        shared.append(_gamma_continuity(_Pair(t, s, DEFAULT_TOL, pr)))
         public.append(gamma_continuity_bound(t, s_alpha(t, alpha / n)))
     assert _bits(shared) == _bits(public)
 
