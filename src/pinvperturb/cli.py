@@ -33,7 +33,7 @@ from .generators import (
     random_relative_perturbation,
 )
 from .hypotheses import _Pair, check_stewart_hypotheses
-from .linalg import Tolerances, singular_values, spectral_norm
+from .linalg import Tolerances, _norm_bounds, singular_values, spectral_norm
 from .perturb import (
     _ding_huang,
     _error_bound_lambda2_zero,
@@ -300,12 +300,12 @@ def _cmd_rol(args, tol, files):
     f = files.read(args.f)
     g = files.read(args.g)
     fp = reverse_order_pinv(f, g, tol)
-    scale = max(
-        spectral_norm(fp.pinv_oracle),
-        spectral_norm(fp.pinv_reverse),
-        spectral_norm(fp.pinv_closed_form),
-    )
-    agree = fp.max_pairwise_discrepancy <= tol.eq(scale)
+    routes = (fp.pinv_oracle, fp.pinv_reverse, fp.pinv_closed_form)
+    # the largest column norm bounds the scale below; the three norms are
+    # measured only when that bound leaves the verdict open
+    disc = fp.max_pairwise_discrepancy
+    agree = (disc <= tol.eq(max(_norm_bounds(m)[0] for m in routes))
+             or disc <= tol.eq(max(spectral_norm(m) for m in routes)))
     if args.output:
         files.write(fp.pinv_reverse, args.output, format=args.format)
     report = Report(
@@ -313,7 +313,7 @@ def _cmd_rol(args, tol, files):
         inputs={"f": args.f, "g": args.g, "output": args.output},
         verdicts={
             "product_shape": list(fp.a.shape),
-            "max_pairwise_discrepancy": fp.max_pairwise_discrepancy,
+            "max_pairwise_discrepancy": disc,
             "three_way_agreement": agree,
         },
     )

@@ -12,7 +12,10 @@ import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation
 from .linalg import (
+    _EPS,
     Tolerances,
+    _norm_bounds,
+    _solve_bounded,
     _tol,
     adjoint,
     as_matrix,
@@ -121,7 +124,11 @@ def _s_alpha_direction(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     A caller that needs S_alpha for several steps solves once and scales.
     """
     gram = np.eye(m.shape[1], dtype=np.complex128) + adjoint(m) @ m
-    return solve_from_right(m, gram, tol)
+    # sigma(I + T*T) lies in [1, 1 + |T|^2], widened by the rounding of the
+    # product, at most (rows + 2) eps |T|_F^2; that proves it nonsingular
+    fro_sq = _norm_bounds(m)[1] ** 2
+    rounding = (m.shape[0] + 2) * _EPS * fro_sq
+    return _solve_bounded(gram, m, tol, 1.0 - rounding, 1.0 + fro_sq + rounding, right=True)
 
 
 def commute_identity_check(t, tol: Tolerances | None = None) -> float:

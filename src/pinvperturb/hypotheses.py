@@ -16,7 +16,10 @@ parameters only, so a caller running several routes builds the pair once.
 
 Each inclusion is decided by two independent routes (projection residual
 and algebraic residual) that must agree; disagreement raises
-:class:`InvariantViolation`.
+:class:`InvariantViolation`. A route that needs only the verdict reads
+:meth:`_Pair.holds`, which certifies an inclusion from the Frobenius norms
+of both residuals and measures their spectral norms only when that bound
+cannot decide.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation
-from .linalg import SvdFactors, Tolerances, _pair, _tol, spectral_norm, svd
+from .linalg import SvdFactors, Tolerances, _norm_bounds, _pair, _tol, spectral_norm, svd
 from .pinv import PinvResult, pseudoinverse
 
 
@@ -60,6 +63,11 @@ class _Pair:
     factorization of T, shared by perturbations of one operator, or |S| and
     the oracle by ``neumann_pinv``. ``norm_s`` is |S| measured on its own;
     the relative routes read |S| from their factorization ``f_s``.
+
+    Each inclusion has an exact reading, ``range_inclusion`` and
+    ``null_inclusion``: the spectral norms of both routes' residuals, their
+    cross-check and the verdict, which the report and every refusal text
+    use. A route that needs only the verdict reads :meth:`holds` instead.
     """
 
     def __init__(self, t, s, tol: Tolerances | None = None, pr_t: PinvResult | None = None):
@@ -116,24 +124,49 @@ class _Pair:
         """|(T+S)' - T'|, the change every error bound is measured against."""
         return spectral_norm(self.pr_sum.pinv - self.pr_t.pinv)
 
+    def _range_residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The residual matrices of R(S) in R(T): S - TT'S by projection, TT'S - S."""
+        return self.ms - self.pr_t.proj_range @ self.ms, self.mt @ self.tds - self.ms
+
+    def _null_residuals(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The residual matrices of N(T) in N(S): SZ for a null basis Z of T
+        (None when N(T) is trivial), and ST'T - S."""
+        z = self.pr_t.null_basis
+        return (self.ms @ z if z.shape[1] else None), self.std @ self.mt - self.ms
+
     @cached_property
     def range_inclusion(self) -> tuple[bool, float, float]:
         """R(S) in R(T): (verdict, projection residual, residual of TT'S = S)."""
-        return self._two_routes(
-            "range", "projection",
-            spectral_norm(self.ms - self.pr_t.proj_range @ self.ms),
-            spectral_norm(self.mt @ self.tds - self.ms),
-        )
+        proj, alg = self._range_residuals()
+        return self._two_routes("range", "projection", spectral_norm(proj), spectral_norm(alg))
 
     @cached_property
     def null_inclusion(self) -> tuple[bool, float, float]:
         """N(T) in N(S): (verdict, null-basis residual, residual of ST'T = S)."""
-        z = self.pr_t.null_basis
+        basis, alg = self._null_residuals()
         return self._two_routes(
             "null", "basis",
-            spectral_norm(self.ms @ z) if z.shape[1] else 0.0,
-            spectral_norm(self.std @ self.mt - self.ms),
+            spectral_norm(basis) if basis is not None else 0.0,
+            spectral_norm(alg),
         )
+
+    def holds(self, inclusion: str) -> bool:
+        """The verdict of ``inclusion`` (``"range_inclusion"`` or
+        ``"null_inclusion"``), certified from a bound when one decides.
+
+        The exact test compares both routes' spectral residuals with
+        ``eq(|S|)``. Their Frobenius bounds against ``eq`` of the column
+        lower bound on |S| can only certify that both pass, which is also
+        when the routes agree; otherwise the exact reading decides, with its
+        cross-check.
+        """
+        if inclusion not in self.__dict__:
+            thr = self.tol.eq(_norm_bounds(self.ms)[0])
+            residuals = {"range_inclusion": self._range_residuals,
+                         "null_inclusion": self._null_residuals}[inclusion]()
+            if all(r is None or _norm_bounds(r)[1] <= thr for r in residuals):
+                return True
+        return getattr(self, inclusion)[0]
 
     def _two_routes(self, space, route, resid, resid_alg):
         """The verdict both residuals give against ``eq(|S|)``; they must agree."""
@@ -149,10 +182,10 @@ class _Pair:
 
     @property
     def stewart(self) -> bool:
-        """|T'S| < 1 - margin and both inclusions, which are decided (and
-        their routes cross-checked) even when the norm condition fails."""
+        """|T'S| < 1 - margin and both inclusions, which are decided even
+        when the norm condition fails (see :meth:`holds`)."""
         norm_ok = self.norm_tds < 1.0 - self.tol.margin_strict
-        range_ok, null_ok = self.range_inclusion[0], self.null_inclusion[0]
+        range_ok, null_ok = self.holds("range_inclusion"), self.holds("null_inclusion")
         return norm_ok and range_ok and null_ok
 
     @property
@@ -211,7 +244,7 @@ def estimate_lambda1(t, s, tol: Tolerances | None = None) -> float | None:
     finite lambda1 works.
     """
     pair = _Pair(t, s, tol)
-    return pair.norm_std if pair.null_inclusion[0] else None
+    return pair.norm_std if pair.holds("null_inclusion") else None
 
 
 def _unit_columns(x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ entry point that enforces the representation (2-d, positive dimensions,
 finite entries, complex128).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+# sums of squares inside this range neither overflowed nor lost a
+# significant share of the matrix to underflow
+_SQ_LO, _SQ_HI = 2.0**-960, 2.0**960
 
 
 def as_matrix(a) -> np.ndarray:
@@ -174,15 +178,77 @@ def numerical_rank(sigma: np.ndarray, shape: tuple, tol: Tolerances | None = Non
     return int(np.count_nonzero(sigma > cutoff))
 
 
+def _room(shape: tuple) -> float:
+    """Relative rounding allowance of a certified bound on a ``shape`` matrix.
+
+    It covers the rounding of the sums of squares behind the Frobenius and
+    column norms, at most ``(rows + cols + 2) eps / 2`` relative, and the
+    error of the computed largest singular value, which LAPACK bounds by a
+    modest multiple of ``eps |A|`` (in practice far below
+    ``(rows + cols) eps``). ``8 (rows + cols + 1) eps`` covers both with a
+    wide margin and stays at the level of eps.
+    """
+    return 8.0 * (sum(shape) + 1) * _EPS
+
+
+def _norm_bounds(m: np.ndarray) -> tuple[float, float]:
+    """Certified ``(lo, hi)`` with ``lo <= spectral_norm(m) <= hi``.
+
+    ``hi`` is the Frobenius norm and ``lo`` the largest column norm, since
+    ``max_j |m e_j| <= |m|_2 <= |m|_F`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 6; Golub & Van Loan, *Matrix Computations*,
+    §2.3). Each is widened by :func:`_room`, so the bounds hold for the
+    computed spectral norm as well as the exact one; ``hi`` also bounds the
+    exact Frobenius norm. When the sums of squares leave the range where
+    they neither overflow nor underflow, the bounds are ``(0, inf)`` and
+    decide nothing; a zero matrix gets ``(0, 0)``.
+    """
+    # einsum forms no squared copy of m and warns of no overflow
+    col = np.einsum("ij,ij->j", m.real, m.real) + np.einsum("ij,ij->j", m.imag, m.imag)
+    total = float(np.einsum("j->", col))
+    if not _SQ_LO <= total <= _SQ_HI:
+        return (0.0, 0.0) if total == 0.0 and not m.any() else (0.0, math.inf)
+    room = _room(m.shape)
+    return math.sqrt(float(col.max())) * (1.0 - room), math.sqrt(total) * (1.0 + room)
+
+
+def _norm_le(a, thr: float, exact_thr=None) -> bool:
+    """``spectral_norm(a) <= thr``, decided from a certified bound when one can.
+
+    The Frobenius bound of :func:`_norm_bounds` certifies True when it
+    clears ``thr``, and the column bound certifies False when it exceeds
+    ``thr``; only when neither decides is the spectral norm measured, so
+    the verdict is always the one the exact test gives. When ``exact_thr``
+    is given, ``thr`` is only a lower bound on the threshold: the bound then
+    certifies True alone, and the exact test compares the measured norm with
+    ``exact_thr()``.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    lo, hi = _norm_bounds(m)
+    if hi <= thr:
+        return True
+    if exact_thr is not None:
+        return spectral_norm(m) <= exact_thr()
+    return lo <= thr and spectral_norm(m) <= thr
+
+
 def mat_close(a, b, tol: Tolerances | None = None) -> bool:
-    """Spectral-norm equality test: ``|a - b| <= eq_abs + eq_rel * max(|a|, |b|)``."""
+    """Spectral-norm equality test: ``|a - b| <= eq_abs + eq_rel * max(|a|, |b|)``.
+
+    Decided by :func:`_norm_le`: the scale ``max(|a|, |b|)`` is bounded
+    below by the larger column norm of ``a`` and ``b``, so a difference
+    whose Frobenius norm clears ``eq`` of that bound is close without an
+    SVD. Otherwise the three spectral norms are measured, as the exact test
+    does.
+    """
     tol = _tol(tol)
     ma = np.asarray(a, dtype=np.complex128)
     mb = np.asarray(b, dtype=np.complex128)
     if ma.shape != mb.shape:
         return False
-    scale = max(spectral_norm(ma), spectral_norm(mb))
-    return spectral_norm(ma - mb) <= tol.eq(scale)
+    scale_lo = max(_norm_bounds(ma)[0], _norm_bounds(mb)[0])
+    return _norm_le(ma - mb, tol.eq(scale_lo),
+                    lambda: tol.eq(max(spectral_norm(ma), spectral_norm(mb))))
 
 
 def solve_square(a, b, tol: Tolerances | None = None) -> np.ndarray:
@@ -191,7 +257,25 @@ def solve_square(a, b, tol: Tolerances | None = None) -> np.ndarray:
     Raises :class:`SingularMatrixError` naming the smallest singular value
     when ``a`` is singular to the rank cutoff.
     """
-    tol = _tol(tol)
+    return _solve_bounded(a, b, _tol(tol), 0.0, math.inf)
+
+
+def _solve_bounded(a, b, tol: Tolerances, sigma_lo: float, sigma_hi: float,
+                   right: bool = False) -> np.ndarray:
+    """:func:`solve_square` of ``(a, b)``, or ``solve_from_right(b, a)`` when
+    ``right``, given bounds ``sigma_lo <= sigma_min(a)`` and
+    ``sigma_max(a) <= sigma_hi`` on the exact singular values of ``a``.
+
+    When the bounds prove ``a`` nonsingular to the rank cutoff,
+    ``sigma_lo > rank_rel * n * sigma_hi`` after taking the rounding
+    allowance of the computed singular values off both sides, the
+    singularity SVD is skipped; the solve itself is the same. Without bounds
+    (``0, inf``) this is :func:`solve_square` unchanged.
+    """
+    if right:
+        ma = np.asarray(a, dtype=np.complex128).T
+        return _solve_bounded(ma, np.asarray(b, dtype=np.complex128).T, tol,
+                              sigma_lo, sigma_hi).T
     ma, mb = as_matrix(a), as_matrix(b)
     n = ma.shape[0]
     if ma.shape[1] != n:
@@ -200,22 +284,35 @@ def solve_square(a, b, tol: Tolerances | None = None) -> np.ndarray:
         raise ShapeMismatchError(
             f"right-hand side has {mb.shape[0]} rows, expected {n}"
         )
-    s = singular_values(ma)
-    cutoff = tol.rank_rel * n * float(s[0]) if s[0] > 0.0 else 0.0
-    smin = float(s[-1])
-    if smin <= cutoff:
-        raise SingularMatrixError(
-            f"matrix is singular to tolerance: smallest singular value {smin:.6e}"
-            f" (cutoff {cutoff:.6e})",
-            smallest_sigma=smin,
-        )
+    room = _room(ma.shape)
+    if not sigma_lo - room * sigma_hi > tol.rank_rel * n * sigma_hi * (1.0 + room):
+        s = singular_values(ma)
+        cutoff = tol.rank_rel * n * float(s[0]) if s[0] > 0.0 else 0.0
+        smin = float(s[-1])
+        if smin <= cutoff:
+            raise SingularMatrixError(
+                f"matrix is singular to tolerance: smallest singular value {smin:.6e}"
+                f" (cutoff {cutoff:.6e})",
+                smallest_sigma=smin,
+            )
     return np.linalg.solve(ma, mb)
+
+
+def _solve_shifted(a, b, norm_x: float, tol: Tolerances, right: bool = False) -> np.ndarray:
+    """:func:`_solve_bounded` for ``a = I + X`` where ``norm_x`` is the
+    measured ``|X|``.
+
+    By Weyl's inequality the singular values of ``I + X`` lie in
+    ``[1 - |X|, 1 + |X|]``; ``norm_x`` is widened by the rounding allowance
+    before it bounds the exact ``|X|``.
+    """
+    x_hi = norm_x * (1.0 + _room(np.shape(a)))
+    return _solve_bounded(a, b, tol, 1.0 - x_hi, 1.0 + x_hi, right)
 
 
 def solve_from_right(a, b, tol: Tolerances | None = None) -> np.ndarray:
     """Solve ``x @ b = a`` for square nonsingular ``b``, i.e. ``a @ inv(b)``."""
-    return solve_square(np.asarray(b, dtype=np.complex128).T,
-                        np.asarray(a, dtype=np.complex128).T, tol).T
+    return _solve_bounded(b, a, _tol(tol), 0.0, math.inf, right=True)
 
 
 def orthonormal_range_basis(a, tol: Tolerances | None = None) -> np.ndarray:
@@ -242,7 +339,7 @@ def _check_orthonormal(basis: np.ndarray, tol: Tolerances, label: str) -> None:
     if k == 0:
         return
     gram = basis.conj().T @ basis
-    if spectral_norm(gram - np.eye(k)) > tol.eq(1.0):
+    if not _norm_le(gram - np.eye(k), tol.eq(1.0)):
         raise ValueError(f"{label} does not have orthonormal columns")
 
 

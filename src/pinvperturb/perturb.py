@@ -15,6 +15,7 @@ parameters; a caller that runs several bounds on one pair, like ``bounds``
 or the gamma-continuity sequences of ``verify``, builds one pair for all.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +26,12 @@ from .hypotheses import _check_lambdas, _Pair, _relative_slack
 from .linalg import (
     _EPS,
     Tolerances,
+    _norm_bounds,
+    _norm_le,
     _pair,
+    _room,
+    _solve_shifted,
     mat_close,
-    solve_from_right,
-    solve_square,
     spectral_norm,
 )
 from .pinv import _norm_pinv, pseudoinverse
@@ -60,12 +63,21 @@ class NeumannResult:
     truncation error whether or not the series reached eps_series;
     converged records whether it did. |T'| is read as 1 / gamma(T).
 
+    last_term_norm is the measured spectral norm of the last summed term
+    (|T'| read as 1 / gamma when only T' was summed).
+
     Every partial sum was checked to lie within its own tail of the direct
-    oracle. The oracle error is measured once, at the last order K; an
-    earlier order k is certified by the bound
-    ``err_K + sum_{j=k}^{K-1} |term_j| + 2 eps K (sqrt(min(m, n)) + 1) |T'| / (1 - ratio)``,
-    whose term norms are those the stopping rule measured. Orders that bound
-    cannot certify are measured exactly on a replay of the series.
+    oracle. An order k is certified by the bound
+    ``err_K + sum_{j=k}^{K-1} u_j + 2 eps K (sqrt(min(m, n)) + 1) |T'| / (1 - ratio)``
+    on its error, where ``err_K`` bounds the oracle error at the last order
+    K and ``u_j`` the norm of term j. ``u_j`` is the smaller of the term's
+    Frobenius norm and ``u_{j-1}`` times the ratio plus the rounding of the
+    product, each with an eps-level allowance; the stopping rule decides
+    ``|term| < eps_series`` from these bounds and measures a term only when
+    they cannot decide. ``err_K`` is first its Frobenius bound and is
+    measured exactly only if that leaves an order uncertified; orders the
+    exact ``err_K`` still cannot certify are measured exactly on a replay
+    of the series.
     """
 
     pinv_s: np.ndarray
@@ -98,11 +110,10 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
     """
     pair = _Pair(t, s, tol)
     tol = pair.tol
-    rep = pair.report
-    if not rep.verdict_stewart:
-        if not rep.norm_TdS < 1.0 - tol.margin_strict:
+    if not pair.stewart:
+        if not pair.norm_tds < 1.0 - tol.margin_strict:
             raise HypothesisRefusal(
-                f"Stewart update refused: ‖T†S‖ = {rep.norm_TdS:.6g} ≥ 1"
+                f"Stewart update refused: ‖T†S‖ = {pair.norm_tds:.6g} ≥ 1"
                 " (norm condition fails)",
                 condition="norm_TdS",
             )
@@ -110,30 +121,32 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
 
     td = pair.pr_t.pinv
     norm_td = _norm_pinv(pair.pr_t)
-    eye_dom = np.eye(pair.mt.shape[1], dtype=np.complex128)
-    eye_cod = np.eye(pair.mt.shape[0], dtype=np.complex128)
-    left = solve_square(eye_dom + pair.tds, td, tol)
-    right = solve_from_right(td, eye_cod + pair.std, tol)
+    shift_cod = np.eye(pair.mt.shape[0], dtype=np.complex128) + pair.std
+    left = _solve_shifted(np.eye(pair.mt.shape[1], dtype=np.complex128) + pair.tds, td,
+                          pair.norm_tds, tol)
+    right = _solve_shifted(shift_cod, td, pair.norm_std, tol, right=True)
     if not mat_close(left, right, tol):
         raise InvariantViolation(
             "left and right Stewart forms disagree:"
             f" ‖L - R‖ = {spectral_norm(left - right):.3e}"
         )
-    recovered = left @ (eye_cod + pair.std)
-    if spectral_norm(recovered - td) > tol.eq(max(spectral_norm(recovered), norm_td)):
+    # |T'| bounds the scale max(|recovered|, |T'|) of the threshold below
+    recovered = left @ shift_cod
+    if not _norm_le(recovered - td, tol.eq(norm_td),
+                    lambda: tol.eq(max(spectral_norm(recovered), norm_td))):
         raise InvariantViolation("recovery identity T† = (T+S)†(I + ST†) failed")
 
     oracle = pair.pr_sum.pinv
-    bound = rep.norm_S * norm_td**2 / (1.0 - rep.norm_TdS)
+    bound = pair.norm_s * norm_td**2 / (1.0 - pair.norm_tds)
     return UpdateResult(
         pinv_updated=left,
         method="stewart_left",
         bound_apriori=bound,
         oracle_discrepancy=spectral_norm(left - oracle),
         norms_used={
-            "norm_TdS": rep.norm_TdS,
-            "norm_STd": rep.norm_STd,
-            "norm_S": rep.norm_S,
+            "norm_TdS": pair.norm_tds,
+            "norm_STd": pair.norm_std,
+            "norm_S": pair.norm_s,
             "norm_Td": norm_td,
         },
     )
@@ -172,9 +185,10 @@ def update_relative_surjective(
         )
 
     norm_td = _norm_pinv(prt)
-    eye_cod = np.eye(rows, dtype=np.complex128)
+    norm_std = float(pair.f_std.sigma[0])
     try:
-        updated = solve_from_right(td, eye_cod + pair.std, tol)
+        updated = _solve_shifted(np.eye(rows, dtype=np.complex128) + pair.std, td,
+                                 norm_std, tol, right=True)
     except SingularMatrixError as exc:
         raise InvariantViolation(
             "(I + ST†) is numerically singular although the relative bound holds:"
@@ -194,7 +208,6 @@ def update_relative_surjective(
             f" {norm_cap:.6g}"
         )
 
-    norm_std = float(pair.f_std.sigma[0])
     norm_s = float(pair.f_s.sigma[0])
     bound = None
     if lambda2 == 0.0 and norm_std < 1.0:
@@ -257,8 +270,8 @@ def neumann_pinv(
         )
     # |S - T| is read from the factorization the relative-bound check needs
     pair.norm_s = float(pair.f_s.sigma[0])
-    null_ok, resid_basis, resid_alg = pair.null_inclusion
-    if not null_ok:
+    if not pair.holds("null_inclusion"):
+        _, resid_basis, resid_alg = pair.null_inclusion
         raise HypothesisRefusal(
             "Neumann inversion refused: N(T) ⊄ N(S-T)"
             f" (residual {max(resid_basis, resid_alg):.3e}), no finite λ₁ with λ₂ = 0",
@@ -282,58 +295,110 @@ def neumann_pinv(
     def tail(k):
         return norm_td * ratio**k / (1.0 - ratio)
 
+    # the stopping rule and the order certificate read certified bounds on
+    # the term norms (_term_bounds); a term is measured only when its
+    # bounds cannot decide |term| < eps
+    room = _room(td.shape)
+    ratio_hi = ratio * (1.0 + room)
+    # |fl(AB) - AB| <= sqrt(2) gamma_{k+2} |A||B| entrywise for complex
+    # products with inner dimension k = rows (Higham ch. 3), at most
+    # (rows + 2) eps |A|_F |B|_F in norm
+    rounding = (rows + 2) * _EPS * _norm_bounds(step)[1]
     term = td
     total = td.copy()
-    term_norms = [norm_td]  # partial sums are not kept, only these norms
+    term_bounds = [norm_td * (1.0 + room)]  # partial sums are not kept
+    fro = _norm_bounds(td)[1]
+    last_norm = norm_td  # measured norm of the last summed term, None if not measured
     converged = False
     while True:
         nxt = -(term @ step)
-        norm_nxt = spectral_norm(nxt)
-        if norm_nxt < eps:
+        lo, hi, fro_nxt = _term_bounds(nxt, term_bounds[-1], fro, ratio_hi, rounding)
+        norm_nxt = None
+        if hi < eps:
+            stop = True
+        elif lo >= eps:
+            stop = False
+        else:
+            norm_nxt = spectral_norm(nxt)
+            stop = norm_nxt < eps
+            hi = min(hi, norm_nxt * (1.0 + 2.0 * room))
+        if stop:
             converged = True
             break
-        if len(term_norms) >= max_terms:
+        if len(term_bounds) >= max_terms:
             break
         term = nxt
         total = total + term
-        term_norms.append(norm_nxt)
+        term_bounds.append(hi)
+        fro, last_norm = fro_nxt, norm_nxt
 
-    terms_used = len(term_norms)
-    err = spectral_norm(total - oracle)
-    certified = _certify_orders(err, term_norms, tail, mt.shape, norm_td, ratio, tol.eq_abs)
+    terms_used = len(term_bounds)
+    if last_norm is None:
+        last_norm = spectral_norm(term)
+    diff = total - oracle
+    err_exact = functools.cache(lambda: spectral_norm(diff))
+    err = _norm_bounds(diff)[1]
+    certified = _certify_orders(err, term_bounds, tail, mt.shape, norm_td, ratio, tol.eq_abs)
     if not all(certified):
-        _replay_orders(td, step, oracle, certified, tail, tol.eq_abs)
+        err = err_exact()
+        certified = _certify_orders(err, term_bounds, tail, mt.shape, norm_td, ratio,
+                                    tol.eq_abs)
+        if not all(certified):
+            _replay_orders(td, step, oracle, certified, tail, tol.eq_abs)
 
     residual_bound = tail(terms_used)
-    closed = solve_from_right(td, np.eye(rows, dtype=np.complex128) + step, tol)
-    slack = residual_bound + tol.eq(max(spectral_norm(total), norm_td))
-    if spectral_norm(total - closed) > slack:
+    closed = _solve_shifted(np.eye(rows, dtype=np.complex128) + step, td, ratio, tol,
+                            right=True)
+
+    @functools.cache
+    def slack():
+        return residual_bound + tol.eq(max(spectral_norm(total), norm_td))
+
+    slack_lo = residual_bound + tol.eq(norm_td)  # |T'| bounds the scale below
+    if not _norm_le(total - closed, slack_lo, slack):
         raise InvariantViolation(
             "Neumann series and closed form T†(I+(S-T)T†)⁻¹ disagree"
-            f" beyond the certified tail ({spectral_norm(total - closed):.3e} > {slack:.3e})"
+            f" beyond the certified tail ({spectral_norm(total - closed):.3e} > {slack():.3e})"
         )
-    if err > slack:
+    if not (err <= slack_lo or err_exact() <= slack()):
         raise InvariantViolation(
             "Neumann series and direct pseudoinverse disagree beyond the certified tail"
         )
     return NeumannResult(
         pinv_s=total,
         terms_used=terms_used,
-        last_term_norm=term_norms[-1],
+        last_term_norm=last_norm,
         ratio=ratio,
         residual_bound=residual_bound,
         converged=converged,
     )
 
 
+def _term_bounds(nxt, prev, prev_fro, ratio_hi, rounding) -> tuple[float, float, float]:
+    """Bounds ``(lo, hi, fro)`` on the next Neumann term ``nxt = -(term @ step)``.
+
+    ``lo <= spectral_norm(nxt) <= hi``, and ``hi`` also bounds the exact
+    norm of ``nxt``: it is the smaller of the Frobenius bound and
+    ``prev * ratio_hi + rounding * prev_fro``, widened by the rounding
+    allowance, where ``prev`` bounds the norm of ``term``, ``ratio_hi``
+    that of ``step``, ``prev_fro`` the Frobenius norm of ``term`` and
+    ``rounding * prev_fro`` the rounding of the product. ``fro`` bounds the
+    Frobenius norm of ``nxt``.
+    """
+    lo, fro = _norm_bounds(nxt)
+    grown = (prev * ratio_hi + rounding * prev_fro) * (1.0 + _room(nxt.shape))
+    return lo, min(fro, grown), fro
+
+
 def _certify_orders(err, term_norms, tail, shape, norm_td, ratio, eq_abs) -> list:
     """Which orders k provably pass ``|total_k - oracle| <= tail(k) + eq_abs``.
 
-    With K summed terms and ``err = |total_K - oracle|``, the triangle
-    inequality gives ``|total_k - oracle| <= err + sum_{j=k}^{K-1} |term_j|``
-    plus the rounding of the partial-sum additions, which is allowed for as
-    ``2 eps K (sqrt(min(m, n)) + 1) |T'| / (1 - ratio)``. An order whose
-    bound is not below its tail is left to :func:`_replay_orders`.
+    With K summed terms, ``err >= |total_K - oracle|`` and ``term_norms[j]
+    >= |term_j|``, the triangle inequality gives ``|total_k - oracle| <= err
+    + sum_{j=k}^{K-1} term_norms[j]`` plus the rounding of the partial-sum
+    additions, which is allowed for as ``2 eps K (sqrt(min(m, n)) + 1) |T'|
+    / (1 - ratio)``. An order whose bound is not below its tail is left to
+    :func:`_replay_orders`.
     """
     n_terms = len(term_norms)
     rounding = 2.0 * _EPS * n_terms * (math.sqrt(min(shape)) + 1.0) * norm_td / (1.0 - ratio)
@@ -377,8 +442,8 @@ _INCLUSIONS = {
 def _require_inclusions(pair: _Pair, route: str, conditions=tuple(_INCLUSIONS)) -> None:
     """Refuse ``route`` at the first of ``conditions`` the pair fails."""
     for condition in conditions:
-        ok, _, resid_alg = getattr(pair, condition)
-        if not ok:
+        if not pair.holds(condition):
+            _, _, resid_alg = getattr(pair, condition)
             statement, residual = _INCLUSIONS[condition]
             raise HypothesisRefusal(f"{route} refused: {statement} fails"
                                     f" ({residual} = {resid_alg:.6g})", condition=condition)
@@ -430,7 +495,7 @@ def _error_bound_lambda2_zero(pair: _Pair) -> float:
         )
     _require_inclusions(pair, "error bound", ("null_inclusion",))
     eye_cod = np.eye(rows, dtype=np.complex128)
-    inv_norm = spectral_norm(solve_square(eye_cod + pair.std, eye_cod, tol))
+    inv_norm = spectral_norm(_solve_shifted(eye_cod + pair.std, eye_cod, norm_std, tol))
     cap = 1.0 / (1.0 - norm_std)
     if inv_norm > cap + tol.eq(cap):
         raise InvariantViolation(
@@ -500,8 +565,8 @@ def _ding_huang(pair: _Pair, case: str) -> DingHuangBounds:
     rows, cols = pair.mt.shape
 
     def null_inclusion(label):
-        ok, resid_basis, resid_alg = pair.null_inclusion
-        if not ok:
+        if not pair.holds("null_inclusion"):
+            _, resid_basis, resid_alg = pair.null_inclusion
             raise HypothesisRefusal(
                 f"{label} case refused: N(T) ⊄ N(S)"
                 f" (residual {max(resid_basis, resid_alg):.3e})",
@@ -514,8 +579,8 @@ def _ding_huang(pair: _Pair, case: str) -> DingHuangBounds:
                 f"injective case refused: rank {prt.rank} < {cols} columns",
                 condition="injective",
             )
-        ok, resid_proj, resid_alg = pair.range_inclusion
-        if not ok:
+        if not pair.holds("range_inclusion"):
+            _, resid_proj, resid_alg = pair.range_inclusion
             raise HypothesisRefusal(
                 "injective case refused: R(S) ⊄ R(T)"
                 f" (residual {max(resid_proj, resid_alg):.3e})",

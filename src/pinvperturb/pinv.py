@@ -19,6 +19,7 @@ from .linalg import (
     _tol,
     adjoint,
     as_matrix,
+    mat_close,
     numerical_rank,
     spectral_norm,
 )
@@ -199,15 +200,11 @@ def mp_representation(t, tol: Tolerances | None = None) -> np.ndarray:
     direct = pseudoinverse(m, tol).pinv
     via_gram = pseudoinverse(ta @ m, tol).pinv @ ta
     via_cogram = ta @ pseudoinverse(m @ ta, tol).pinv
-    routes = (via_gram, via_cogram)  # mat_close on each, with |direct| measured once
-    norm_direct = spectral_norm(direct)
-    gaps = [spectral_norm(route - direct) for route in routes]
-    if not all(gap <= tol.eq(max(spectral_norm(route), norm_direct))
-               for gap, route in zip(gaps, routes)):
+    if not (mat_close(via_gram, direct, tol) and mat_close(via_cogram, direct, tol)):
         raise InvariantViolation(
             "pseudoinverse representations disagree"
-            f" (|gram-route - direct| = {gaps[0]:.3e},"
-            f" |cogram-route - direct| = {gaps[1]:.3e});"
+            f" (|gram-route - direct| = {spectral_norm(via_gram - direct):.3e},"
+            f" |cogram-route - direct| = {spectral_norm(via_cogram - direct):.3e});"
             " numerical rank of the Gram products is inconsistent with the source"
         )
     return via_gram

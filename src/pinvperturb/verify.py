@@ -8,8 +8,9 @@ are identical across runs.
 
 A trial factors each operator once. Where it runs several routes on one
 pair it reads them from one ``hypotheses._Pair``: the Stewart trial reads
-T+S, its null bases and |(T+S)' - T'| from its pair and its bound from the
-update; the relative trial calls ``perturb._error_bound_lambda2_zero`` on
+T+S, its null bases and |(T+S)' - T'| from its pair, its bound and |ST'|
+from the update, and checks its S_alpha step against gamma(T) of its
+factorization of T; the relative trial calls ``perturb._error_bound_lambda2_zero`` on
 its pair; a gamma-continuity sequence factors T once, solves for the
 S_alpha direction T (I + T*T)^-1 once (``generators._s_alpha_direction``)
 and runs ``perturb._gamma_continuity`` on one pair per step, each built on
@@ -31,16 +32,15 @@ from .generators import (
     _s_alpha_direction,
     random_operator,
     random_relative_perturbation,
-    s_alpha,
 )
 from .hypotheses import _Pair
 from .linalg import (
     Tolerances,
+    _solve_shifted,
     _tol,
     adjoint,
     orthonormal_range_basis,
     principal_angle_gap,
-    solve_from_right,
     spectral_norm,
 )
 from .perturb import (
@@ -185,13 +185,16 @@ def suite_stewart(trials, max_dim, seed, tol: Tolerances | None = None):
         norm_td = spectral_norm(pr_t.pinv)
         u = float(rng.uniform(0.0, 1.0)) or 0.5
         alpha = u * 2.0 / norm_td
-        s = s_alpha(t, alpha, tol)
+        # s_alpha(t, alpha) bit for bit, its admissibility read from gamma(T)
+        # of the factorization: only that check reads gamma
+        _check_alpha(alpha, pr_t.gamma)
+        s = alpha * _s_alpha_direction(t, tol)
 
         res = update_stewart(t, s, tol)
         pair = _Pair(t, s, tol, pr_t)
-        right = solve_from_right(
-            pr_t.pinv, np.eye(rows, dtype=np.complex128) + pair.std, tol
-        )
+        # |ST'| as the update measured it, on the same factorization of T
+        right = _solve_shifted(np.eye(rows, dtype=np.complex128) + pair.std, pr_t.pinv,
+                               res.norms_used["norm_STd"], tol, right=True)
         # error_bound_stewart(t, s): the same formula on the same norms
         bound = res.bound_apriori
         measured = pair.norm_pinv_diff
@@ -342,6 +345,8 @@ def suite_gamma_continuity(n_ops, seq_len, max_dim, seed, tol: Tolerances | None
         cols = int(rng.integers(2, max_dim + 1))
         rank = int(rng.integers(1, min(rows, cols) + 1))
         t = _draw_operator(rng, rows, cols, rank, 0.3, 1.2, 3.0)
+        # alpha is drawn from the values-only gamma(T); pr.gamma below may
+        # differ from it in the last bit, which would move every alpha
         gamma = reduced_min_modulus(t, tol)
         alpha = float(rng.uniform(0.05, 0.95)) * 2.0 * gamma
         # step n is gamma_continuity_bound(t, s_alpha(t, alpha / n)) bit for bit,

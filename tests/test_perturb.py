@@ -282,8 +282,9 @@ class TestNeumannOrderCertificate:
         norms.clear()
         replayed = neumann_pinv(t, s)
         assert len(replays) == 1
-        # the replay measured the oracle error at every order
-        assert len(norms) == measured + certified.terms_used
+        # the oracle error was measured exactly once its Frobenius bound left
+        # orders uncertified, and the replay measured it at every order
+        assert len(norms) == measured + 1 + certified.terms_used
         assert np.array_equal(replayed.pinv_s, certified.pinv_s)
         assert replayed.terms_used == certified.terms_used
         assert replayed.converged == certified.converged
