@@ -19,7 +19,12 @@ and algebraic residual) that must agree; disagreement raises
 :class:`InvariantViolation`. A route that needs only the verdict reads
 :meth:`_Pair.holds`, which certifies an inclusion from the Frobenius norms
 of both residuals and measures their spectral norms only when that bound
-cannot decide.
+cannot decide; the pair keeps the verdict and both bounds.
+
+The update routes decide the relative bound through :func:`_relative_bound`:
+when N(T) lies in N(S) an exact certificate from |ST'| proves it for every
+x, and the sampler of :func:`check_relative_bound` runs only when the
+certificate cannot decide; it supplies every failing verdict.
 """
 
 from dataclasses import dataclass
@@ -28,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation
-from .linalg import SvdFactors, Tolerances, _norm_bounds, _pair, _tol, spectral_norm, svd
+from .linalg import SvdFactors, Tolerances, _norm_bounds, _pair, _room, _tol, spectral_norm, svd
 from .pinv import PinvResult, pseudoinverse
 
 
@@ -73,6 +78,7 @@ class _Pair:
     def __init__(self, t, s, tol: Tolerances | None = None, pr_t: PinvResult | None = None):
         self.tol = _tol(tol)
         self.mt, self.ms = _pair(t, s)
+        self._held = {}
         if pr_t is not None:
             self.pr_t = pr_t
 
@@ -137,39 +143,28 @@ class _Pair:
     @cached_property
     def range_inclusion(self) -> tuple[bool, float, float]:
         """R(S) in R(T): (verdict, projection residual, residual of TT'S = S)."""
-        proj, alg = self._range_residuals()
-        return self._two_routes("range", "projection", spectral_norm(proj), spectral_norm(alg))
+        return self._exact("range_inclusion", "range", "projection")
 
     @cached_property
     def null_inclusion(self) -> tuple[bool, float, float]:
         """N(T) in N(S): (verdict, null-basis residual, residual of ST'T = S)."""
-        basis, alg = self._null_residuals()
-        return self._two_routes(
-            "null", "basis",
-            spectral_norm(basis) if basis is not None else 0.0,
-            spectral_norm(alg),
-        )
+        return self._exact("null_inclusion", "null", "basis")
 
-    def holds(self, inclusion: str) -> bool:
-        """The verdict of ``inclusion`` (``"range_inclusion"`` or
-        ``"null_inclusion"``), certified from a bound when one decides.
+    def _residuals(self, inclusion: str) -> tuple:
+        """Both routes' residual matrices of ``inclusion``, as kept by
+        :meth:`_bounded` when its bounds could not certify, else built."""
+        held = self._held.get(inclusion)
+        if held is not None and held[2] is not None:
+            return held[2]
+        return {"range_inclusion": self._range_residuals,
+                "null_inclusion": self._null_residuals}[inclusion]()
 
-        The exact test compares both routes' spectral residuals with
-        ``eq(|S|)``. Their Frobenius bounds against ``eq`` of the column
-        lower bound on |S| can only certify that both pass, which is also
-        when the routes agree; otherwise the exact reading decides, with its
-        cross-check.
-        """
-        if inclusion not in self.__dict__:
-            thr = self.tol.eq(_norm_bounds(self.ms)[0])
-            residuals = {"range_inclusion": self._range_residuals,
-                         "null_inclusion": self._null_residuals}[inclusion]()
-            if all(r is None or _norm_bounds(r)[1] <= thr for r in residuals):
-                return True
-        return getattr(self, inclusion)[0]
-
-    def _two_routes(self, space, route, resid, resid_alg):
-        """The verdict both residuals give against ``eq(|S|)``; they must agree."""
+    def _exact(self, inclusion, space, route) -> tuple[bool, float, float]:
+        """The exact reading of ``inclusion``: both routes' spectral
+        residuals against ``eq(|S|)``, which must agree."""
+        resid, resid_alg = self._residuals(inclusion)
+        resid = spectral_norm(resid) if resid is not None else 0.0
+        resid_alg = spectral_norm(resid_alg)
         thr = self.tol.eq(self.norm_s)
         verdict = resid <= thr
         if verdict != (resid_alg <= thr):
@@ -179,6 +174,32 @@ class _Pair:
                 f" threshold {thr:.3e}"
             )
         return verdict, resid, resid_alg
+
+    def holds(self, inclusion: str) -> bool:
+        """The verdict of ``inclusion`` (``"range_inclusion"`` or
+        ``"null_inclusion"``), certified from a bound when one decides.
+
+        The exact test compares both routes' spectral residuals with
+        ``eq(|S|)``. Their Frobenius bounds (:meth:`_bounded`) can only
+        certify that both pass, which is also when the routes agree;
+        otherwise the exact reading decides, with its cross-check.
+        """
+        if inclusion not in self.__dict__ and self._bounded(inclusion)[0]:
+            return True
+        return getattr(self, inclusion)[0]
+
+    def _bounded(self, inclusion: str) -> tuple[bool, tuple[float, float], tuple | None]:
+        """``(certified, bounds, residuals)`` of ``inclusion``, built once per
+        pair: Frobenius bounds on both routes' residuals, whether they clear
+        ``eq`` of the column lower bound on |S|, and the residual matrices
+        when they do not, kept for the exact reading."""
+        if inclusion not in self._held:
+            residuals = self._residuals(inclusion)
+            his = tuple(0.0 if r is None else _norm_bounds(r)[1] for r in residuals)
+            thr = self.tol.eq(_norm_bounds(self.ms)[0])
+            certified = all(hi <= thr for hi in his)
+            self._held[inclusion] = certified, his, None if certified else residuals
+        return self._held[inclusion]
 
     @property
     def stewart(self) -> bool:
@@ -315,5 +336,38 @@ def _relative_slack(pair: _Pair, lambda1: float, lambda2: float,
     norm_sum = np.linalg.norm((mt + ms) @ x, axis=0)
     slack = lambda1 * norm_t + lambda2 * norm_sum - norm_s
     worst = float(slack.min())
-    thr = pair.tol.eq(max(float(prt.sigma[0]), float(fs.sigma[0])))
-    return worst >= -thr, worst
+    return worst >= -_relative_threshold(pair), worst
+
+
+def _relative_threshold(pair: _Pair) -> float:
+    """How far the slack of the relative bound may fall below 0: ``eq`` of
+    max(|T|, |S|), read from the factorizations of T and S (``f_s``)."""
+    return pair.tol.eq(max(float(pair.pr_t.sigma[0]), float(pair.f_s.sigma[0])))
+
+
+def _relative_bound(pair: _Pair, lambda1: float, lambda2: float) -> tuple[bool, float | None]:
+    """Whether |Sx| <= lambda1 |Tx| + lambda2 |(T+S)x| holds, as
+    ``(verdict, worst sampled slack)``; the slack is None when certified.
+
+    For every x, ``S = (ST')T + E`` with E the residual of ST'T = S, so
+    ``|Sx| <= mu |Tx| + |E| |x|`` with ``mu = |ST'|``. Bounding |(T+S)x|
+    below by ``|Tx| - |Sx|`` when lambda2 >= 0 and above by ``|Tx| + |Sx|``
+    when lambda2 < 0, the slack of a unit x is at least
+    ``c |Tx| - (1 + |lambda2|) |E|`` with ``c = lambda1 + lambda2 - (1 +
+    |lambda2|) mu``, hence at least ``min(0, c) |T| - (1 + |lambda2|) |E|``.
+    With mu and |T| read from ``f_std`` and the factorization of T and
+    widened by the rounding allowance, and |E| by the Frobenius bound the
+    pair keeps for its null inclusion, the bound is certified when that
+    clears the sampler's threshold and the same bounds certify N(T) in
+    N(S). The certificate only certifies, and it never takes the exact
+    inclusion reading; in every other case :func:`_relative_slack` decides
+    and supplies the worst slack of a failing verdict.
+    """
+    null_ok, (_, e_hi), _ = pair._bounded("null_inclusion")
+    if null_ok:
+        mu_hi = float(pair.f_std.sigma[0]) * (1.0 + _room(pair.std.shape))
+        sigma_hi = float(pair.pr_t.sigma[0]) * (1.0 + _room(pair.mt.shape))
+        c = lambda1 + lambda2 - (1.0 + abs(lambda2)) * mu_hi
+        if min(0.0, c) * sigma_hi - (1.0 + abs(lambda2)) * e_hi >= -_relative_threshold(pair):
+            return True, None
+    return _relative_slack(pair, lambda1, lambda2)

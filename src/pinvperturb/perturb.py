@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation, SingularMatrixError
-from .hypotheses import _check_lambdas, _Pair, _relative_slack
+from .hypotheses import _check_lambdas, _Pair, _relative_bound
 from .linalg import (
     _EPS,
     Tolerances,
@@ -158,8 +158,10 @@ def update_relative_surjective(
     """Perturbed pseudoinverse (T+S)' = T' (I + S T')^-1 for surjective T.
 
     Requires T surjective and the relative bound
-    |Sx| <= lambda1 |Tx| + lambda2 |(T+S)x| with lambda1 < 1 (verified by
-    sampling). Asserts that T+S stays surjective and that
+    |Sx| <= lambda1 |Tx| + lambda2 |(T+S)x| with lambda1 < 1, certified
+    exactly from |ST'| when N(T) lies in N(S) and verified by sampling
+    otherwise (``hypotheses._relative_bound``). Asserts that T+S stays
+    surjective and that
     |(T+S)'| <= (1 + lambda2) / (1 - lambda1) * |T'|.
     """
     pair = _Pair(t, s, tol)
@@ -172,9 +174,9 @@ def update_relative_surjective(
         )
     _check_lambdas(lambda1, lambda2)
     td = prt.pinv
-    # factored before the slack check, which then reads its right vectors
+    # factored before the relative bound, whose sampler then reads its right vectors
     oracle_res = pair.pr_sum
-    ok, worst = _relative_slack(pair, lambda1, lambda2)
+    ok, worst = _relative_bound(pair, lambda1, lambda2)
     if not ok:
         raise HypothesisRefusal(
             "relative update refused: bound"
@@ -241,10 +243,12 @@ def neumann_pinv(
     S' = T' (I + (S - T) T')^-1. Terms accumulate until the next term drops
     below eps_series (default 1e-12 * |T'|) or max_terms is hit; a
     non-finite or non-positive eps_series and a max_terms below 1 are
-    refused with ``ValueError`` before anything is factored. Every
-    partial sum is then certified against the direct oracle within its
-    geometric tail, from one measured oracle error at the final order (see
-    :class:`NeumannResult`).
+    refused with ``ValueError`` before anything is factored. The relative
+    bound with lambda1 = ratio is certified exactly from the null inclusion
+    (``hypotheses._relative_bound``); it is sampled only when that
+    certificate cannot decide. Every partial sum is then certified against
+    the direct oracle within its geometric tail, from one measured oracle
+    error at the final order (see :class:`NeumannResult`).
     """
     mt, ms = _pair(t, s)
     if max_terms < 1:
@@ -278,9 +282,9 @@ def neumann_pinv(
             condition="null_inclusion",
         )
     # T + (S - T) is S only up to rounding: the oracle factors S itself, and
-    # its right vectors supply the T+S directions of the relative-bound check
+    # its right vectors supply the T+S directions of the relative-bound sampler
     pair.pr_sum = pseudoinverse(ms, tol)
-    ok, worst = _relative_slack(pair, ratio, 0.0)
+    ok, worst = _relative_bound(pair, ratio, 0.0)
     if not ok:
         raise HypothesisRefusal(
             "Neumann inversion refused: relative bound"

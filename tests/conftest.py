@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pinvperturb import Tolerances
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and a
+# failing example printed as a blob that @reproduce_failure replays
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture

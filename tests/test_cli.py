@@ -277,14 +277,16 @@ class TestBoundsMatchPublicFunctions:
     """``bounds`` factors T and T+S once and hands them to every bound; each
     verdict must still be exactly what the public function returns."""
 
-    @pytest.mark.parametrize("shape, applicable", [
+    APPLICABLE = pytest.mark.parametrize("shape, applicable", [
         ((4, 3, 2), {"stewart", "ding_huang_general", "gamma_continuity"}),
         ((5, 8, 5), {"stewart", "lambda2_zero", "ding_huang_surjective",
                      "ding_huang_general", "gamma_continuity"}),
         ((8, 5, 5), {"stewart", "ding_huang_injective", "ding_huang_general",
                      "gamma_continuity"}),
     ], ids=["rank-deficient", "surjective", "injective"])
-    def test_applicable_pair(self, tmp_path, capsys, shape, applicable):
+
+    @staticmethod
+    def _bounds(tmp_path, capsys, shape):
         rows, cols, rank = shape
         t = random_operator(GenSpec(rows=rows, cols=cols, rank=rank, gamma_target=0.5,
                                     norm_target=1.5, seed=9))
@@ -293,9 +295,24 @@ class TestBoundsMatchPublicFunctions:
         write_matrix(s_alpha(t, 0.6), paths[1])
         code, out, _ = run_cli(capsys, "--json", "bounds", *paths)
         assert code == 0
-        reported = _reported_bounds(json.loads(out)["verdicts"])
+        return paths, json.loads(out)["verdicts"]
+
+    @APPLICABLE
+    def test_applicable_pair(self, tmp_path, capsys, shape, applicable):
+        paths, verdicts = self._bounds(tmp_path, capsys, shape)
+        reported = _reported_bounds(verdicts)
         assert {k for k, v in reported.items() if not isinstance(v, str)} == applicable
         assert reported == _public_bounds(*map(read_matrix, paths))
+
+    @APPLICABLE
+    def test_pinv_norm_is_the_ding_huang_reading(self, tmp_path, capsys, shape, applicable):
+        # |(T+S)'| is read once, as 1 / gamma(T+S), for the report and every case
+        _, verdicts = self._bounds(tmp_path, capsys, shape)
+        norm = verdicts["measured_pinv_norm"]
+        cases = [name for name in applicable if name.startswith("ding_huang_")]
+        assert cases
+        for name in cases:
+            assert verdicts[name]["measured_pinv_norm"].hex() == norm.hex()
 
     @pytest.mark.parametrize("kind", ["range_violation", "null_violation", "norm_violation"])
     def test_refused_pair(self, fixtures, capsys, kind):
