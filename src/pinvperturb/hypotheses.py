@@ -21,10 +21,19 @@ and algebraic residual) that must agree; disagreement raises
 of both residuals and measures their spectral norms only when that bound
 cannot decide; the pair keeps the verdict and both bounds.
 
-The update routes decide the relative bound through :func:`_relative_bound`:
-when N(T) lies in N(S) an exact certificate from |ST'| proves it for every
-x, and the sampler of :func:`check_relative_bound` runs only when the
-certificate cannot decide; it supplies every failing verdict.
+Every hypothesis that several routes share (surjectivity, injectivity,
+the strict norm conditions on |T'S|, |ST'| and |S||T'|, and the two
+inclusions) is one entry of ``_CONDITIONS``: a test on the pair and the
+statement of its failure. A route declares its tuple of names and refuses
+through :meth:`_Pair.require` at the first that fails, with that name as
+the refusal's ``condition``. Every strict norm test goes through
+:meth:`_Pair.strict`, which applies ``margin_strict``.
+
+The surjective update decides the relative bound through
+:func:`_relative_bound`: when N(T) lies in N(S) an exact certificate from
+|ST'| proves it for every x, and the sampler of
+:func:`check_relative_bound` runs only when the certificate cannot decide;
+it supplies every failing verdict.
 """
 
 from dataclasses import dataclass
@@ -34,7 +43,7 @@ import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation
 from .linalg import SvdFactors, Tolerances, _norm_bounds, _pair, _room, _tol, spectral_norm, svd
-from .pinv import PinvResult, pseudoinverse
+from .pinv import PinvResult, _norm_pinv, pseudoinverse
 
 
 @dataclass(frozen=True)
@@ -64,9 +73,8 @@ class _Pair:
     """A validated pair (T, S); each quantity is measured when a route first
     reads it and kept for the rest of the call.
 
-    A quantity may be set before it is first read: ``pr_t`` to the caller's
-    factorization of T, shared by perturbations of one operator, or |S| and
-    the oracle by ``neumann_pinv``. ``norm_s`` is |S| measured on its own;
+    ``pr_t`` may be passed in as the caller's factorization of T, shared by
+    perturbations of one operator. ``norm_s`` is |S| measured on its own;
     the relative routes read |S| from their factorization ``f_s``.
 
     Each inclusion has an exact reading, ``range_inclusion`` and
@@ -201,13 +209,29 @@ class _Pair:
             self._held[inclusion] = certified, his, None if certified else residuals
         return self._held[inclusion]
 
+    @cached_property
+    def norm_product(self) -> float:
+        """|S| |T'|, the norm condition of the general Ding-Huang case."""
+        return self.norm_s * _norm_pinv(self.pr_t)
+
+    def strict(self, x: float, scale: float = 1.0) -> bool:
+        """The strict test ``x < scale`` of every certifying condition, with
+        the margin: ``x < scale (1 - margin_strict)``."""
+        return x < scale * (1.0 - self.tol.margin_strict)
+
+    def require(self, route: str, *conditions: str) -> None:
+        """Refuse ``route`` at the first of ``conditions`` (names in
+        ``_CONDITIONS``) that the pair fails. They are tested in order, so
+        a route measures only what its conditions up to the failing one read."""
+        for name in conditions:
+            test, statement = _CONDITIONS[name]
+            if not test(self):
+                raise HypothesisRefusal(f"{route} refused: {statement(self)}", condition=name)
+
     @property
     def stewart(self) -> bool:
-        """|T'S| < 1 - margin and both inclusions, which are decided even
-        when the norm condition fails (see :meth:`holds`)."""
-        norm_ok = self.norm_tds < 1.0 - self.tol.margin_strict
-        range_ok, null_ok = self.holds("range_inclusion"), self.holds("null_inclusion")
-        return norm_ok and range_ok and null_ok
+        """The Stewart triple: |T'S| < 1 - margin and both inclusions."""
+        return all(_CONDITIONS[name][0](self) for name in _STEWART)
 
     @property
     def report(self) -> HypothesisReport:
@@ -215,7 +239,6 @@ class _Pair:
         _, range_resid, ttds_resid = self.range_inclusion
         null_ok, null_resid, stdt_resid = self.null_inclusion
         lambda1_min = self.norm_std if null_ok else None
-        margin = 1.0 - self.tol.margin_strict
         return HypothesisReport(
             norm_TdS=self.norm_tds,
             norm_STd=self.norm_std,
@@ -227,9 +250,41 @@ class _Pair:
             stdt_residual=stdt_resid,
             lambda1_min=lambda1_min,
             verdict_stewart=self.stewart,
-            verdict_norm_gamma=self.norm_s < self.pr_t.gamma * margin and null_ok,
-            verdict_relative=lambda1_min is not None and lambda1_min < margin,
+            verdict_norm_gamma=self.strict(self.norm_s, self.pr_t.gamma) and null_ok,
+            verdict_relative=lambda1_min is not None and self.strict(lambda1_min),
         )
+
+
+def _norm_condition(norm: str, attr: str) -> tuple:
+    """The table entry of a strict norm condition ``norm < 1`` on ``attr``."""
+    return (lambda p: p.strict(getattr(p, attr)),
+            lambda p: f"{norm} = {getattr(p, attr):.6g} ≥ 1 - {p.tol.margin_strict:g}"
+                      " (norm condition fails)")
+
+
+def _inclusion(name: str, statement: str, residual: str) -> tuple:
+    """The table entry of an inclusion; its refusal names the algebraic residual."""
+    return (lambda p: p.holds(name),
+            lambda p: f"{statement} fails ({residual} = {getattr(p, name)[2]:.6g})")
+
+
+# Every hypothesis the closed-form routes share: name -> (test on the pair,
+# statement of its failure). A route declares its tuple of names and
+# refuses through _Pair.require, which tests them in order.
+_CONDITIONS = {
+    "surjective": (lambda p: p.pr_t.rank == p.mt.shape[0],
+                   lambda p: f"T is not surjective (rank {p.pr_t.rank} < {p.mt.shape[0]} rows)"),
+    "injective": (lambda p: p.pr_t.rank == p.mt.shape[1],
+                  lambda p: f"T is not injective (rank {p.pr_t.rank} < {p.mt.shape[1]} columns)"),
+    "norm_TdS": _norm_condition("‖T†S‖", "norm_tds"),
+    "norm_STd": _norm_condition("‖ST†‖", "norm_std"),
+    "norm_product": _norm_condition("‖S‖‖T†‖", "norm_product"),
+    "range_inclusion": _inclusion("range_inclusion", "range inclusion R(S) ⊆ R(T)",
+                                  "‖TT†S - S‖"),
+    "null_inclusion": _inclusion("null_inclusion", "null-space inclusion N(T) ⊆ N(S)",
+                                 "‖ST†T - S‖"),
+}
+_STEWART = ("norm_TdS", "range_inclusion", "null_inclusion")
 
 
 def check_range_inclusion(t, s, tol: Tolerances | None = None) -> tuple[bool, float]:
@@ -287,9 +342,9 @@ def check_relative_bound(
 
     Evaluates the slack ``lambda1 |Tx| + lambda2 |(T+S)x| - |Sx|`` on
     ``samples`` random unit vectors, on every right-singular direction of
-    T, S and T+S, and on the pulled-back extremal directions ``T'v`` for
-    right-singular vectors v of ``S T'`` (these carry the true maximizer of
-    |Sx| / |Tx|). Returns (worst slack >= -tol, worst slack); the reduction
+    T, S and T+S, on a basis of N(T), and on the pulled-back extremal
+    directions ``T'v`` for right-singular vectors v of ``S T'`` (these carry
+    the true maximizer of |Sx| / |Tx|). Returns (worst slack >= -tol, worst slack); the reduction
     is a minimum, so evaluation order never matters.
     """
     pair = _Pair(t, s, tol)
@@ -315,12 +370,13 @@ def _relative_slack(pair: _Pair, lambda1: float, lambda2: float,
     """:func:`check_relative_bound` on the pair's factorizations.
 
     The directions are the right singular vectors of T, S (``f_s``) and T+S
-    (``v_sum``) and T' times those of S T' (``f_std``); |T| and |S| are read
-    from the leading singular values of T and ``f_s``.
+    (``v_sum``), a basis of N(T), and T' times the right singular vectors of
+    S T' (``f_std``); |T| and |S| are read from the leading singular values
+    of T and ``f_s``.
     """
     prt, fs = pair.pr_t, pair.f_s
     mt, ms = pair.mt, pair.ms
-    directions = [prt.v, fs.v, pair.v_sum]
+    directions = [prt.v, prt.null_basis, fs.v, pair.v_sum]
     pulled = _unit_columns(prt.pinv @ pair.f_std.v)
     if pulled.shape[1]:
         directions.append(pulled)

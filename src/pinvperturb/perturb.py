@@ -6,6 +6,13 @@ the result against the direct SVD pseudoinverse of the perturbed operator.
 A certified-route/oracle mismatch is an :class:`InvariantViolation`, never a
 silent fallback.
 
+Each route and bound declares the shared hypotheses it needs as a tuple of
+condition names (``_STEWART``, the cases of ``_DH_CASES``, ...) and refuses
+through ``_Pair.require``, which tests and words each condition in one
+place. Only the two conditions no other route shares are refused here: the
+relative bound of :func:`update_relative_surjective` and the ratio of
+:func:`neumann_pinv`.
+
 Each route reads (T, S) through one ``hypotheses._Pair``, which measures
 every quantity of the pair once. A bound function builds the pair and hands
 it to its private helper (:func:`_error_bound_stewart`,
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation, SingularMatrixError
-from .hypotheses import _check_lambdas, _Pair, _relative_bound
+from .hypotheses import _STEWART, _check_lambdas, _Pair, _relative_bound
 from .linalg import (
     _EPS,
     Tolerances,
@@ -110,15 +117,7 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
     """
     pair = _Pair(t, s, tol)
     tol = pair.tol
-    if not pair.stewart:
-        if not pair.norm_tds < 1.0 - tol.margin_strict:
-            raise HypothesisRefusal(
-                f"Stewart update refused: ‖T†S‖ = {pair.norm_tds:.6g} ≥ 1"
-                " (norm condition fails)",
-                condition="norm_TdS",
-            )
-        _require_inclusions(pair, "Stewart update")
-
+    pair.require("Stewart update", *_STEWART)
     td = pair.pr_t.pinv
     norm_td = _norm_pinv(pair.pr_t)
     shift_cod = np.eye(pair.mt.shape[0], dtype=np.complex128) + pair.std
@@ -165,13 +164,9 @@ def update_relative_surjective(
     |(T+S)'| <= (1 + lambda2) / (1 - lambda1) * |T'|.
     """
     pair = _Pair(t, s, tol)
+    pair.require("relative update", "surjective")
     tol, prt = pair.tol, pair.pr_t
     rows = pair.mt.shape[0]
-    if prt.rank < rows:
-        raise HypothesisRefusal(
-            f"relative update refused: T is not surjective (rank {prt.rank} < {rows} rows)",
-            condition="surjective",
-        )
     _check_lambdas(lambda1, lambda2)
     td = prt.pinv
     # factored before the relative bound, whose sampler then reads its right vectors
@@ -243,12 +238,13 @@ def neumann_pinv(
     S' = T' (I + (S - T) T')^-1. Terms accumulate until the next term drops
     below eps_series (default 1e-12 * |T'|) or max_terms is hit; a
     non-finite or non-positive eps_series and a max_terms below 1 are
-    refused with ``ValueError`` before anything is factored. The relative
-    bound with lambda1 = ratio is certified exactly from the null inclusion
-    (``hypotheses._relative_bound``); it is sampled only when that
-    certificate cannot decide. Every partial sum is then certified against
-    the direct oracle within its geometric tail, from one measured oracle
-    error at the final order (see :class:`NeumannResult`).
+    refused with ``ValueError`` before anything is factored. The null
+    inclusion gives S - T = ((S - T) T') T, so the relative bound
+    |(S - T)x| <= ratio |Tx| holds for every x and needs no check of its
+    own; the refusals of the shared conditions name the perturbation S - T
+    as S. Every partial sum is then certified against the direct oracle
+    within its geometric tail, from one measured oracle error at the final
+    order (see :class:`NeumannResult`), and the sum against the closed form.
     """
     mt, ms = _pair(t, s)
     if max_terms < 1:
@@ -256,45 +252,23 @@ def neumann_pinv(
     if eps_series is not None and not 0.0 < float(eps_series) < math.inf:
         raise ValueError(f"eps_series must be finite and positive, got {eps_series}")
     pair = _Pair(mt, ms - mt, tol)  # T and the perturbation S - T
+    pair.require("Neumann inversion", "surjective")
     tol, prt = pair.tol, pair.pr_t
     rows = mt.shape[0]
-    if prt.rank < rows:
-        raise HypothesisRefusal(
-            f"Neumann inversion refused: T is not surjective (rank {prt.rank} < {rows})",
-            condition="surjective",
-        )
     td = prt.pinv
     norm_td = _norm_pinv(prt)
     step = pair.std
     ratio = float(pair.f_std.sigma[0])
-    if not ratio < 1.0 - tol.margin_strict:
+    if not pair.strict(ratio):
         raise HypothesisRefusal(
             f"Neumann inversion refused: ratio ‖(S-T)T†‖ = {ratio:.6g} ≥ 1",
             condition="ratio",
         )
-    # |S - T| is read from the factorization the relative-bound check needs
-    pair.norm_s = float(pair.f_s.sigma[0])
-    if not pair.holds("null_inclusion"):
-        _, resid_basis, resid_alg = pair.null_inclusion
-        raise HypothesisRefusal(
-            "Neumann inversion refused: N(T) ⊄ N(S-T)"
-            f" (residual {max(resid_basis, resid_alg):.3e}), no finite λ₁ with λ₂ = 0",
-            condition="null_inclusion",
-        )
-    # T + (S - T) is S only up to rounding: the oracle factors S itself, and
-    # its right vectors supply the T+S directions of the relative-bound sampler
-    pair.pr_sum = pseudoinverse(ms, tol)
-    ok, worst = _relative_bound(pair, ratio, 0.0)
-    if not ok:
-        raise HypothesisRefusal(
-            "Neumann inversion refused: relative bound"
-            f" ‖(S-T)x‖ ≤ {ratio:.6g}·‖Tx‖ fails"
-            f" (worst slack {worst:.3e})",
-            condition="relative_bound",
-        )
+    pair.require("Neumann inversion", "null_inclusion")
 
     eps = 1e-12 * norm_td if eps_series is None else float(eps_series)
-    oracle = pair.pr_sum.pinv
+    # T + (S - T) is S only up to rounding: the oracle factors S itself
+    oracle = pseudoinverse(ms, tol).pinv
 
     def tail(k):
         return norm_td * ratio**k / (1.0 - ratio)
@@ -340,13 +314,10 @@ def neumann_pinv(
     if last_norm is None:
         last_norm = spectral_norm(term)
     diff = total - oracle
-    err_exact = functools.cache(lambda: spectral_norm(diff))
-    err = _norm_bounds(diff)[1]
-    certified = _certify_orders(err, term_bounds, tail, mt.shape, norm_td, ratio, tol.eq_abs)
+    orders = (term_bounds, tail, mt.shape, norm_td, ratio, tol.eq_abs)
+    certified = _certify_orders(_norm_bounds(diff)[1], *orders)
     if not all(certified):
-        err = err_exact()
-        certified = _certify_orders(err, term_bounds, tail, mt.shape, norm_td, ratio,
-                                    tol.eq_abs)
+        certified = _certify_orders(spectral_norm(diff), *orders)
         if not all(certified):
             _replay_orders(td, step, oracle, certified, tail, tol.eq_abs)
 
@@ -363,10 +334,6 @@ def neumann_pinv(
         raise InvariantViolation(
             "Neumann series and closed form T†(I+(S-T)T†)⁻¹ disagree"
             f" beyond the certified tail ({spectral_norm(total - closed):.3e} > {slack():.3e})"
-        )
-    if not (err <= slack_lo or err_exact() <= slack()):
-        raise InvariantViolation(
-            "Neumann series and direct pseudoinverse disagree beyond the certified tail"
         )
     return NeumannResult(
         pinv_s=total,
@@ -437,46 +404,27 @@ def _replay_orders(td, step, oracle, certified, tail, eq_abs) -> None:
                 )
 
 
-_INCLUSIONS = {
-    "range_inclusion": ("range inclusion R(S) ⊆ R(T)", "‖TT†S - S‖"),
-    "null_inclusion": ("null-space inclusion N(T) ⊆ N(S)", "‖ST†T - S‖"),
-}
-
-
-def _require_inclusions(pair: _Pair, route: str, conditions=tuple(_INCLUSIONS)) -> None:
-    """Refuse ``route`` at the first of ``conditions`` the pair fails."""
-    for condition in conditions:
-        if not pair.holds(condition):
-            _, _, resid_alg = getattr(pair, condition)
-            statement, residual = _INCLUSIONS[condition]
-            raise HypothesisRefusal(f"{route} refused: {statement} fails"
-                                    f" ({residual} = {resid_alg:.6g})", condition=condition)
-
-
 def error_bound_stewart(t, s, tol: Tolerances | None = None) -> float:
     """A-priori bound |S| |T'|^2 / (1 - |T'S|) on |(T+S)' - T'|.
 
-    Refuses unless |T'S| < 1, R(S) lies in R(T) and N(T) lies in N(S): the
-    bound is proved under all three.
+    Refuses unless |T'S| < 1 - margin_strict, R(S) lies in R(T) and N(T)
+    lies in N(S): the bound is proved under all three with |T'S| < 1, and
+    the margin keeps 1 / (1 - |T'S|) from certifying a rounding-level gap.
     """
     return _error_bound_stewart(_Pair(t, s, tol))
 
 
 def _error_bound_stewart(pair: _Pair) -> float:
     """:func:`error_bound_stewart` on ``pair``."""
-    if pair.norm_tds >= 1.0:
-        raise HypothesisRefusal(
-            f"error bound undefined: ‖T†S‖ = {pair.norm_tds:.6g} ≥ 1",
-            condition="norm_TdS",
-        )
-    _require_inclusions(pair, "error bound")
+    pair.require("error bound", *_STEWART)
     return pair.norm_s * _norm_pinv(pair.pr_t) ** 2 / (1.0 - pair.norm_tds)
 
 
 def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
     """A-priori bound |T'|^2 |S| / (1 - |S T'|) for surjective T.
 
-    Refuses unless T is surjective, |S T'| < 1 and N(T) lies in N(S). Also
+    Refuses unless T is surjective, |S T'| < 1 - margin_strict and N(T)
+    lies in N(S). Also
     verifies |(I + S T')^-1| <= 1 / (1 - |S T'|) on the way.
     """
     return _error_bound_lambda2_zero(_Pair(t, s, tol))
@@ -484,20 +432,9 @@ def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
 
 def _error_bound_lambda2_zero(pair: _Pair) -> float:
     """:func:`error_bound_lambda2_zero` on ``pair``."""
-    prt, tol = pair.pr_t, pair.tol
+    pair.require("error bound", "surjective", "norm_STd", "null_inclusion")
+    prt, tol, norm_std = pair.pr_t, pair.tol, pair.norm_std
     rows = pair.ms.shape[0]
-    if prt.rank < rows:
-        raise HypothesisRefusal(
-            f"error bound refused: T is not surjective (rank {prt.rank} < {rows})",
-            condition="surjective",
-        )
-    norm_std = pair.norm_std
-    if norm_std >= 1.0:
-        raise HypothesisRefusal(
-            f"error bound undefined: ‖ST†‖ = {norm_std:.6g} ≥ 1",
-            condition="norm_STd",
-        )
-    _require_inclusions(pair, "error bound", ("null_inclusion",))
     eye_cod = np.eye(rows, dtype=np.complex128)
     inv_norm = spectral_norm(_solve_shifted(eye_cod + pair.std, eye_cod, norm_std, tol))
     cap = 1.0 / (1.0 - norm_std)
@@ -521,14 +458,7 @@ def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, 
 def _gamma_continuity(pair: _Pair) -> tuple[float, float]:
     """:func:`gamma_continuity_bound` on ``pair``; T+S is factored once the
     hypotheses hold."""
-    if not pair.stewart:
-        raise HypothesisRefusal(
-            "gamma continuity bound refused: Stewart hypotheses fail"
-            f" (‖T†S‖ = {pair.norm_tds:.6g},"
-            f" range residual {pair.range_inclusion[2]:.3e},"
-            f" null residual {pair.null_inclusion[2]:.3e})",
-            condition="stewart",
-        )
+    pair.require("gamma continuity bound", *_STEWART)
     pr, pr_sum = pair.pr_t, pair.pr_sum
     achieved = abs(pr_sum.gamma - pr.gamma)
     if pair.norm_s == 0.0:
@@ -542,7 +472,12 @@ def _gamma_continuity(pair: _Pair) -> tuple[float, float]:
     return achieved, bound
 
 
-_DH_CASES = ("injective", "surjective", "general")
+# each case's conditions and the norm its bounds read
+_DH_CASES = {
+    "injective": (("injective", "range_inclusion", "norm_TdS"), "norm_tds"),
+    "surjective": (("surjective", "null_inclusion", "norm_STd"), "norm_std"),
+    "general": (("null_inclusion", "norm_product"), "norm_product"),
+}
 
 
 def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> DingHuangBounds:
@@ -557,66 +492,19 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
                 |(T+S)'| <= |T'| / (1 - |S| |T'|)  (no difference bound).
     """
     if case not in _DH_CASES:
-        raise ValueError(f"case must be one of {_DH_CASES}, got {case!r}")
+        raise ValueError(f"case must be one of {tuple(_DH_CASES)}, got {case!r}")
     return _ding_huang(_Pair(t, s, tol), case)
 
 
 def _ding_huang(pair: _Pair, case: str) -> DingHuangBounds:
     """:func:`norm_bounds_ding_huang` on ``pair``; T+S is factored once the
     case applies."""
+    conditions, norm = _DH_CASES[case]
+    pair.require(f"{case} case", *conditions)
     prt, tol = pair.pr_t, pair.tol
     norm_td = _norm_pinv(prt)
     rows, cols = pair.mt.shape
-
-    def null_inclusion(label):
-        if not pair.holds("null_inclusion"):
-            _, resid_basis, resid_alg = pair.null_inclusion
-            raise HypothesisRefusal(
-                f"{label} case refused: N(T) ⊄ N(S)"
-                f" (residual {max(resid_basis, resid_alg):.3e})",
-                condition="null_inclusion",
-            )
-
-    if case == "injective":
-        if prt.rank < cols:
-            raise HypothesisRefusal(
-                f"injective case refused: rank {prt.rank} < {cols} columns",
-                condition="injective",
-            )
-        if not pair.holds("range_inclusion"):
-            _, resid_proj, resid_alg = pair.range_inclusion
-            raise HypothesisRefusal(
-                "injective case refused: R(S) ⊄ R(T)"
-                f" (residual {max(resid_proj, resid_alg):.3e})",
-                condition="range_inclusion",
-            )
-        small = pair.norm_tds
-        if not small < 1.0 - tol.margin_strict:
-            raise HypothesisRefusal(
-                f"injective case refused: ‖T†S‖ = {small:.6g} ≥ 1",
-                condition="norm_TdS",
-            )
-    elif case == "surjective":
-        if prt.rank < rows:
-            raise HypothesisRefusal(
-                f"surjective case refused: rank {prt.rank} < {rows} rows",
-                condition="surjective",
-            )
-        null_inclusion("surjective")
-        small = pair.norm_std
-        if not small < 1.0 - tol.margin_strict:
-            raise HypothesisRefusal(
-                f"surjective case refused: ‖ST†‖ = {small:.6g} ≥ 1",
-                condition="norm_STd",
-            )
-    else:
-        null_inclusion("general")
-        small = pair.norm_s * norm_td
-        if not small < 1.0 - tol.margin_strict:
-            raise HypothesisRefusal(
-                f"general case refused: ‖S‖‖T†‖ = {small:.6g} ≥ 1",
-                condition="norm_product",
-            )
+    small = getattr(pair, norm)
     norm_bound = norm_td / (1.0 - small)
     diff_bound = None if case == "general" else small * norm_td / (1.0 - small)
 

@@ -324,10 +324,16 @@ def _bounds_residual_builds(tmp_path, t, s):
     return counts
 
 
-@pytest.mark.parametrize("shape", [(18, 18, 15), (4, 3, 2), (5, 8, 5), (8, 5, 5)])
+@pytest.mark.parametrize("shape", [(18, 18, 15), (4, 3, 2), (5, 8, 5), (8, 5, 5),
+                                   "range_violation", "null_violation", "norm_violation"])
 def test_bounds_builds_each_residual_once(tmp_path, shape):
     # every route of the command reads the verdict and the residual bounds
-    # that the pair kept from its first decision
+    # that the pair kept from its first decision, and a refusal names only
+    # the condition that failed, so no passing inclusion is read again
+    if isinstance(shape, str):
+        counts = _bounds_residual_builds(tmp_path, *adversarial_pair(shape, 0))
+        assert max(counts.values(), default=0) <= 1
+        return
     t = _operator(*shape, 3)
     counts = _bounds_residual_builds(tmp_path, t, s_alpha(t, 0.5))
     assert {name for _, name in counts} == {"_range_residuals", "_null_residuals"}
@@ -454,9 +460,21 @@ def test_a_pair_outside_the_null_inclusion_is_sampled_once(size):
         assert _outcome(*call) == certified
         sampled_svds = _svd_count(*call)
     assert _svd_count(*call) == sampled_svds
-    if size == 1.0:
-        assert certified[0] == "HypothesisRefusal"
-        assert certified[2] == "relative_bound"
+    # the sampler tries a basis of N(T), where the leak lies
+    assert certified[0] == "HypothesisRefusal"
+    assert certified[2] == "relative_bound"
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("rho", [0.005, 0.5, 0.76])
+def test_neumann_pairs_satisfy_the_relative_bound_of_their_ratio(rho, scale):
+    # N(T) in N(S - T) gives S - T = ((S - T)T')T, so |(S - T)x| <= ratio |Tx|
+    # for every x: the sampler finds no violation on the Neumann pairs
+    _, t, s = _relative_cases()[f"neumann{rho}"]
+    t, s = scale * t, scale * s
+    res = neumann_pinv(t, s)
+    ok, worst = pinvperturb.check_relative_bound(t, s - t, res.ratio, 0.0)
+    assert ok, worst
 
 
 @pytest.mark.parametrize("lambda2", [-0.5, -1e-3, 0.0, 0.4])

@@ -1,6 +1,11 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pinvperturb
 from pinvperturb import (
     HypothesisRefusal,
     ShapeMismatchError,
@@ -204,3 +209,40 @@ class TestScaleInvariance:
     def test_adversarial_pair_rejected_at_every_scale(self, kind, scale):
         t, s = adversarial_pair(kind, 0)
         assert not check_stewart_hypotheses(scale * t, scale * s).verdict_stewart
+
+
+def _refusal_sites():
+    """``(module, enclosing function, condition)`` of every ``HypothesisRefusal(...)``
+    in the package; the condition is None when it is not a literal."""
+    sites = Counter()
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "HypothesisRefusal"):
+            condition = next((kw.value.value for kw in node.keywords
+                              if kw.arg == "condition" and isinstance(kw.value, ast.Constant)),
+                             None)
+            sites[module, func, condition] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(Path(pinvperturb.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return sites
+
+
+def test_refusals_are_built_only_where_no_shared_condition_applies():
+    # every shared hypothesis refuses through _Pair.require and the condition
+    # table; the other sites check parameters or a condition of one route
+    assert _refusal_sites() == Counter({
+        ("hypotheses", "require", None): 1,
+        ("hypotheses", "_check_lambdas", "lambda1"): 1,
+        ("hypotheses", "_check_lambdas", "lambda2"): 1,
+        ("generators", "_check_alpha", "alpha"): 1,
+        ("generators", "random_relative_perturbation", "lambda1"): 1,
+        ("reverse_order", "reverse_order_pinv", "factor_ranks"): 1,
+        ("perturb", "update_relative_surjective", "relative_bound"): 1,
+        ("perturb", "neumann_pinv", "ratio"): 1,
+    })

@@ -371,6 +371,17 @@ class TestErrorBounds:
             error_bound_lambda2_zero(np.array([[1.0, 0.0]]), np.array([[0.0, 0.5]]))
         assert exc.value.condition == "null_inclusion"
 
+    def test_bounds_refuse_within_the_strict_margin(self):
+        # |T'S| = |ST'| = 1 - 5e-9 lies below 1 but not below 1 - margin_strict,
+        # where 1 / (1 - |T'S|) would certify a bound of 2e8
+        t, s = np.eye(2), (1.0 - 5e-9) * np.diag([1.0, 0.0])
+        with pytest.raises(HypothesisRefusal) as exc:
+            error_bound_stewart(t, s)
+        assert exc.value.condition == "norm_TdS"
+        with pytest.raises(HypothesisRefusal) as exc:
+            error_bound_lambda2_zero(t, s)
+        assert exc.value.condition == "norm_STd"
+
     @staticmethod
     def _small_pair(seed):
         """A pair of up to 3 x 4: T of any rank with gamma in [0.5, 1] and a
