@@ -29,6 +29,11 @@ through :meth:`_Pair.require` at the first that fails, with that name as
 the refusal's ``condition``. Every strict norm test goes through
 :meth:`_Pair.strict`, which applies ``margin_strict``.
 
+Every post-condition a route checks on its result is built and worded on
+the pair too: :meth:`_Pair.within` tests ``x <= bound + eq(scale)``, and
+:meth:`_Pair.confirm`, :meth:`_Pair.confirm_near` (two matrices at the scale
+of |T'|) and :meth:`_Pair.keeps_rank` raise :class:`InvariantViolation`.
+
 The surjective update decides the relative bound through
 :func:`_relative_bound`: when N(T) lies in N(S) an exact certificate from
 |ST'| proves it for every x, and the sampler of
@@ -42,7 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation
-from .linalg import SvdFactors, Tolerances, _norm_bounds, _pair, _room, _tol, spectral_norm, svd
+from .linalg import (SvdFactors, Tolerances, _norm_bounds, _norm_le, _pair, _room, _tol,
+                     spectral_norm, svd)
 from .pinv import PinvResult, _norm_pinv, pseudoinverse
 
 
@@ -227,6 +233,38 @@ class _Pair:
             test, statement = _CONDITIONS[name]
             if not test(self):
                 raise HypothesisRefusal(f"{route} refused: {statement(self)}", condition=name)
+
+    def within(self, x: float, bound: float, scale: float | None = None) -> bool:
+        """The post-condition ``x <= bound`` of a certified result, with the
+        slack ``eq(scale)``; ``scale`` defaults to ``bound``."""
+        return x <= bound + self.tol.eq(bound if scale is None else scale)
+
+    def confirm(self, route: str, what: str, x: float, bound: float,
+                scale: float | None = None) -> None:
+        """Raise :class:`InvariantViolation` unless :meth:`within` holds:
+        ``what``, measured as ``x``, exceeds the ``bound`` ``route`` certifies."""
+        if not self.within(x, bound, scale):
+            slack = self.tol.eq(bound if scale is None else scale)
+            raise InvariantViolation(f"{route}: {what} = {x:.6g} exceeds its certified bound"
+                                     f" {bound:.6g} by more than {slack:.3g}")
+
+    def confirm_near(self, route: str, what: str, a, b, bound: float = 0.0) -> None:
+        """:meth:`confirm` of ``|a - b| <= bound + eq(max(|a|, |T'|))``, where
+        ``what`` names |a - b|. Decided by :func:`_norm_le` with |T'| bounding
+        the scale below, so the norms are measured only when its bounds
+        cannot decide."""
+        norm_td = _norm_pinv(self.pr_t)
+        if not _norm_le(a - b, bound + self.tol.eq(norm_td),
+                        lambda: bound + self.tol.eq(max(spectral_norm(a), norm_td))):
+            self.confirm(route, what, spectral_norm(a - b), bound,
+                         max(spectral_norm(a), norm_td))
+
+    def keeps_rank(self, route: str, rank: int) -> None:
+        """Raise :class:`InvariantViolation` unless T+S has the ``rank`` that
+        the theorem behind ``route`` gives it."""
+        if self.pr_sum.rank != rank:
+            raise InvariantViolation(f"{route}: T+S has rank {self.pr_sum.rank},"
+                                     f" not the rank {rank} its theorem gives it")
 
     @property
     def stewart(self) -> bool:

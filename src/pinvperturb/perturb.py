@@ -1,10 +1,10 @@
 """Closed-form perturbed pseudoinverses and a-priori error bounds.
 
 Every update route first verifies its hypotheses (refusing with a typed
-error when they fail), then computes the closed form, and finally certifies
-the result against the direct SVD pseudoinverse of the perturbed operator.
-A certified-route/oracle mismatch is an :class:`InvariantViolation`, never a
-silent fallback.
+error when they fail), then computes the closed form, and finally checks the
+rank, bounds and identities its theorem certifies for the result through the
+pair's post-conditions; a failed one is an :class:`InvariantViolation`, never
+a silent fallback. ``oracle_discrepancy`` is reported, not judged.
 
 Each route and bound declares the shared hypotheses it needs as a tuple of
 condition names (``_STEWART``, the cases of ``_DH_CASES``, ...) and refuses
@@ -22,7 +22,6 @@ parameters; a caller that runs several bounds on one pair, like ``bounds``
 or the gamma-continuity sequences of ``verify``, builds one pair for all.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,6 @@ from .linalg import (
     _EPS,
     Tolerances,
     _norm_bounds,
-    _norm_le,
     _pair,
     _room,
     _solve_shifted,
@@ -112,8 +110,8 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
     Requires the Stewart hypotheses (strict norm condition plus both
     inclusions); refuses naming the failing condition otherwise. Both forms
     are computed and must agree, the recovery identity
-    T' = (T+S)'(I + S T') is verified, and the returned left form is
-    compared against the direct oracle.
+    T' = (T+S)'(I + S T') is verified, and the distance of the returned left
+    form from the direct oracle is reported.
     """
     pair = _Pair(t, s, tol)
     tol = pair.tol
@@ -129,11 +127,7 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
             "left and right Stewart forms disagree:"
             f" ‖L - R‖ = {spectral_norm(left - right):.3e}"
         )
-    # |T'| bounds the scale max(|recovered|, |T'|) of the threshold below
-    recovered = left @ shift_cod
-    if not _norm_le(recovered - td, tol.eq(norm_td),
-                    lambda: tol.eq(max(spectral_norm(recovered), norm_td))):
-        raise InvariantViolation("recovery identity T† = (T+S)†(I + ST†) failed")
+    pair.confirm_near("Stewart update", "‖(T+S)†(I + ST†) - T†‖", left @ shift_cod, td)
 
     oracle = pair.pr_sum.pinv
     bound = pair.norm_s * norm_td**2 / (1.0 - pair.norm_tds)
@@ -192,18 +186,9 @@ def update_relative_surjective(
             f" {exc}"
         ) from exc
 
-    if oracle_res.rank < rows:
-        raise InvariantViolation(
-            f"T+S lost surjectivity (rank {oracle_res.rank} < {rows})"
-            " although the relative bound holds"
-        )
-    norm_oracle = _norm_pinv(oracle_res)
-    norm_cap = (1.0 + lambda2) / (1.0 - lambda1) * norm_td
-    if norm_oracle > norm_cap + tol.eq(norm_cap):
-        raise InvariantViolation(
-            f"‖(T+S)†‖ = {norm_oracle:.6g} exceeds the certified cap"
-            f" {norm_cap:.6g}"
-        )
+    pair.keeps_rank("relative update", rows)
+    pair.confirm("relative update", "‖(T+S)†‖", _norm_pinv(oracle_res),
+                 (1.0 + lambda2) / (1.0 - lambda1) * norm_td)
 
     norm_s = float(pair.f_s.sigma[0])
     bound = None
@@ -314,27 +299,18 @@ def neumann_pinv(
     if last_norm is None:
         last_norm = spectral_norm(term)
     diff = total - oracle
-    orders = (term_bounds, tail, mt.shape, norm_td, ratio, tol.eq_abs)
+    orders = (term_bounds, pair, tail, ratio)
     certified = _certify_orders(_norm_bounds(diff)[1], *orders)
     if not all(certified):
         certified = _certify_orders(spectral_norm(diff), *orders)
         if not all(certified):
-            _replay_orders(td, step, oracle, certified, tail, tol.eq_abs)
+            _replay_orders(pair, oracle, certified, tail)
 
     residual_bound = tail(terms_used)
     closed = _solve_shifted(np.eye(rows, dtype=np.complex128) + step, td, ratio, tol,
                             right=True)
-
-    @functools.cache
-    def slack():
-        return residual_bound + tol.eq(max(spectral_norm(total), norm_td))
-
-    slack_lo = residual_bound + tol.eq(norm_td)  # |T'| bounds the scale below
-    if not _norm_le(total - closed, slack_lo, slack):
-        raise InvariantViolation(
-            "Neumann series and closed form T†(I+(S-T)T†)⁻¹ disagree"
-            f" beyond the certified tail ({spectral_norm(total - closed):.3e} > {slack():.3e})"
-        )
+    pair.confirm_near("Neumann inversion", "‖series - T†(I+(S-T)T†)⁻¹‖", total, closed,
+                      residual_bound)
     return NeumannResult(
         pinv_s=total,
         terms_used=terms_used,
@@ -361,8 +337,8 @@ def _term_bounds(nxt, prev, prev_fro, ratio_hi, rounding) -> tuple[float, float,
     return lo, min(fro, grown), fro
 
 
-def _certify_orders(err, term_norms, tail, shape, norm_td, ratio, eq_abs) -> list:
-    """Which orders k provably pass ``|total_k - oracle| <= tail(k) + eq_abs``.
+def _certify_orders(err, term_norms, pair, tail, ratio) -> list:
+    """Which orders k provably pass ``pair.within(|total_k - oracle|, tail(k), 0.0)``.
 
     With K summed terms, ``err >= |total_K - oracle|`` and ``term_norms[j]
     >= |term_j|``, the triangle inequality gives ``|total_k - oracle| <= err
@@ -372,16 +348,17 @@ def _certify_orders(err, term_norms, tail, shape, norm_td, ratio, eq_abs) -> lis
     :func:`_replay_orders`.
     """
     n_terms = len(term_norms)
-    rounding = 2.0 * _EPS * n_terms * (math.sqrt(min(shape)) + 1.0) * norm_td / (1.0 - ratio)
+    rounding = (2.0 * _EPS * n_terms * (math.sqrt(min(pair.mt.shape)) + 1.0)
+                * _norm_pinv(pair.pr_t) / (1.0 - ratio))
     certified = []
     later = 0.0  # sum of |term_j| for j = k .. K-1
     for k in range(n_terms, 0, -1):
-        certified.append(err + later + rounding <= tail(k) + eq_abs)
+        certified.append(pair.within(err + later + rounding, tail(k), 0.0))
         later += term_norms[k - 1]
     return certified[::-1]
 
 
-def _replay_orders(td, step, oracle, certified, tail, eq_abs) -> None:
+def _replay_orders(pair, oracle, certified, tail) -> None:
     """Rebuild the partial sums and measure every order not certified.
 
     Raises at the first order whose measured error exceeds its tail, with
@@ -389,15 +366,15 @@ def _replay_orders(td, step, oracle, certified, tail, eq_abs) -> None:
     operations, so they are bit-identical to the first pass.
     """
     last = max(k for k, ok in enumerate(certified, start=1) if not ok)
-    term = td
-    total = td.copy()
+    term = pair.pr_t.pinv
+    total = term.copy()
     for k in range(1, last + 1):
         if k > 1:
-            term = -(term @ step)
+            term = -(term @ pair.std)
             total = total + term
         if not certified[k - 1]:
             err = spectral_norm(total - oracle)
-            if err > tail(k) + eq_abs:
+            if not pair.within(err, tail(k), 0.0):
                 raise InvariantViolation(
                     f"Neumann partial sum after {k} terms is off by {err:.3e},"
                     f" above the certified tail {tail(k):.3e}"
@@ -407,9 +384,9 @@ def _replay_orders(td, step, oracle, certified, tail, eq_abs) -> None:
 def error_bound_stewart(t, s, tol: Tolerances | None = None) -> float:
     """A-priori bound |S| |T'|^2 / (1 - |T'S|) on |(T+S)' - T'|.
 
-    Refuses unless |T'S| < 1 - margin_strict, R(S) lies in R(T) and N(T)
-    lies in N(S): the bound is proved under all three with |T'S| < 1, and
-    the margin keeps 1 / (1 - |T'S|) from certifying a rounding-level gap.
+    Refuses unless |T'S| < 1 with the strict margin, R(S) lies in R(T) and
+    N(T) lies in N(S): the bound is proved under all three with |T'S| < 1,
+    and the margin keeps 1 / (1 - |T'S|) from certifying a rounding-level gap.
     """
     return _error_bound_stewart(_Pair(t, s, tol))
 
@@ -423,9 +400,8 @@ def _error_bound_stewart(pair: _Pair) -> float:
 def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
     """A-priori bound |T'|^2 |S| / (1 - |S T'|) for surjective T.
 
-    Refuses unless T is surjective, |S T'| < 1 - margin_strict and N(T)
-    lies in N(S). Also
-    verifies |(I + S T')^-1| <= 1 / (1 - |S T'|) on the way.
+    Refuses unless T is surjective, |S T'| < 1 with the strict margin and
+    N(T) lies in N(S). Also verifies |(I + S T')^-1| <= 1 / (1 - |S T'|) on the way.
     """
     return _error_bound_lambda2_zero(_Pair(t, s, tol))
 
@@ -433,17 +409,13 @@ def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
 def _error_bound_lambda2_zero(pair: _Pair) -> float:
     """:func:`error_bound_lambda2_zero` on ``pair``."""
     pair.require("error bound", "surjective", "norm_STd", "null_inclusion")
-    prt, tol, norm_std = pair.pr_t, pair.tol, pair.norm_std
-    rows = pair.ms.shape[0]
-    eye_cod = np.eye(rows, dtype=np.complex128)
-    inv_norm = spectral_norm(_solve_shifted(eye_cod + pair.std, eye_cod, norm_std, tol))
-    cap = 1.0 / (1.0 - norm_std)
-    if inv_norm > cap + tol.eq(cap):
-        raise InvariantViolation(
-            f"‖(I+ST†)⁻¹‖ = {inv_norm:.6g} exceeds 1/(1-‖ST†‖)"
-            f" = {cap:.6g}"
-        )
-    return _norm_pinv(prt) ** 2 * pair.norm_s / (1.0 - norm_std)
+    norm_std = pair.norm_std
+    eye_cod = np.eye(pair.ms.shape[0], dtype=np.complex128)
+    # the norm is measured: the Frobenius bound _norm_le reads grows like
+    # sqrt(rows), and it decided this test on 3 of 15 measured pairs
+    inv = _solve_shifted(eye_cod + pair.std, eye_cod, norm_std, pair.tol)
+    pair.confirm("error bound", "‖(I+ST†)⁻¹‖", spectral_norm(inv), 1.0 / (1.0 - norm_std))
+    return _norm_pinv(pair.pr_t) ** 2 * pair.norm_s / (1.0 - norm_std)
 
 
 def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, float]:
@@ -465,18 +437,17 @@ def _gamma_continuity(pair: _Pair) -> tuple[float, float]:
         return achieved, 0.0
     beta = _norm_pinv(pr) / (_norm_pinv(pr_sum) * (1.0 - pair.norm_tds))
     bound = beta * pair.norm_s
-    if achieved > bound + pair.tol.eq(max(1.0, pr.gamma)):
-        raise InvariantViolation(
-            f"gamma moved by {achieved:.6g}, above the continuity bound {bound:.6g}"
-        )
+    pair.confirm("gamma continuity bound", "|γ(T+S) - γ(T)|", achieved, bound,
+                 max(1.0, pr.gamma))
     return achieved, bound
 
 
-# each case's conditions and the norm its bounds read
+# each case's conditions, the norm its bounds read, and the axis of T's shape
+# that is the rank of T+S (None when the case fixes no rank)
 _DH_CASES = {
-    "injective": (("injective", "range_inclusion", "norm_TdS"), "norm_tds"),
-    "surjective": (("surjective", "null_inclusion", "norm_STd"), "norm_std"),
-    "general": (("null_inclusion", "norm_product"), "norm_product"),
+    "injective": (("injective", "range_inclusion", "norm_TdS"), "norm_tds", 1),
+    "surjective": (("surjective", "null_inclusion", "norm_STd"), "norm_std", 0),
+    "general": (("null_inclusion", "norm_product"), "norm_product", None),
 }
 
 
@@ -499,36 +470,21 @@ def norm_bounds_ding_huang(t, s, case: str, tol: Tolerances | None = None) -> Di
 def _ding_huang(pair: _Pair, case: str) -> DingHuangBounds:
     """:func:`norm_bounds_ding_huang` on ``pair``; T+S is factored once the
     case applies."""
-    conditions, norm = _DH_CASES[case]
-    pair.require(f"{case} case", *conditions)
-    prt, tol = pair.pr_t, pair.tol
-    norm_td = _norm_pinv(prt)
-    rows, cols = pair.mt.shape
+    conditions, norm, axis = _DH_CASES[case]
+    route = f"{case} case"
+    pair.require(route, *conditions)
+    norm_td = _norm_pinv(pair.pr_t)
     small = getattr(pair, norm)
     norm_bound = norm_td / (1.0 - small)
     diff_bound = None if case == "general" else small * norm_td / (1.0 - small)
 
-    pr_sum = pair.pr_sum
-    if case == "injective" and pr_sum.rank < cols:
-        raise InvariantViolation(
-            f"T+S lost injectivity (rank {pr_sum.rank} < {cols}) under the injective case"
-        )
-    if case == "surjective" and pr_sum.rank < rows:
-        raise InvariantViolation(
-            f"T+S lost surjectivity (rank {pr_sum.rank} < {rows}) under the surjective case"
-        )
-    measured_norm = _norm_pinv(pr_sum)
+    if axis is not None:
+        pair.keeps_rank(route, pair.mt.shape[axis])
+    measured_norm = _norm_pinv(pair.pr_sum)
     measured_diff = pair.norm_pinv_diff
-    if measured_norm > norm_bound + tol.eq(norm_bound):
-        raise InvariantViolation(
-            f"‖(T+S)†‖ = {measured_norm:.6g} exceeds the {case} bound"
-            f" {norm_bound:.6g}"
-        )
-    if diff_bound is not None and measured_diff > diff_bound + tol.eq(diff_bound):
-        raise InvariantViolation(
-            f"‖(T+S)† - T†‖ = {measured_diff:.6g} exceeds the {case}"
-            f" difference bound {diff_bound:.6g}"
-        )
+    pair.confirm(route, "‖(T+S)†‖", measured_norm, norm_bound)
+    if diff_bound is not None:
+        pair.confirm(route, "‖(T+S)† - T†‖", measured_diff, diff_bound)
     return DingHuangBounds(
         case=case,
         pinv_norm_bound=norm_bound,

@@ -230,6 +230,22 @@ class TestBoundsAndRol:
         assert code == 0
         assert json.loads(out)["verdicts"]["method"] == "relative_surjective"
 
+    def test_bounds_reports_the_gamma_verdict_of_the_helper(self, tmp_path, capsys):
+        # kappa(T) = 1 at |T| = 1e8: gamma_continuity_bound judges the change
+        # at eq(max(1, gamma(T))) and returns, so bounds reports it dominated
+        t = random_operator(GenSpec(rows=6, cols=5, rank=5, gamma_target=1e8,
+                                    norm_target=1e8, seed=0))
+        s = 1e-9 * t
+        achieved, bound = gamma_continuity_bound(t, s)
+        paths = [str(tmp_path / "t.mtx"), str(tmp_path / "s.mtx")]
+        write_matrix(t, paths[0])
+        write_matrix(s, paths[1])
+        code, out, _ = run_cli(capsys, "--json", "bounds", *paths)
+        entry = json.loads(out)["verdicts"]["gamma_continuity"]
+        assert (entry["measured"], entry["bound"]) == (achieved, bound)
+        assert entry["dominates"] is True
+        assert code == 0
+
 
 _DH_CASES = ("injective", "surjective", "general")
 

@@ -8,6 +8,7 @@ import pytest
 import pinvperturb
 from pinvperturb import (
     HypothesisRefusal,
+    InvariantViolation,
     ShapeMismatchError,
     check_null_inclusion,
     check_range_inclusion,
@@ -27,6 +28,7 @@ from pinvperturb.generators import (
     random_operator,
     s_alpha,
 )
+from pinvperturb.hypotheses import _Pair
 
 
 class TestRangeInclusion:
@@ -211,8 +213,8 @@ class TestScaleInvariance:
         assert not check_stewart_hypotheses(scale * t, scale * s).verdict_stewart
 
 
-def _refusal_sites():
-    """``(module, enclosing function, condition)`` of every ``HypothesisRefusal(...)``
+def _refusal_sites(exception="HypothesisRefusal"):
+    """``(module, enclosing function, condition)`` of every ``exception(...)``
     in the package; the condition is None when it is not a literal."""
     sites = Counter()
 
@@ -220,7 +222,7 @@ def _refusal_sites():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "HypothesisRefusal"):
+                and node.func.id == exception):
             condition = next((kw.value.value for kw in node.keywords
                               if kw.arg == "condition" and isinstance(kw.value, ast.Constant)),
                              None)
@@ -246,3 +248,53 @@ def test_refusals_are_built_only_where_no_shared_condition_applies():
         ("perturb", "update_relative_surjective", "relative_bound"): 1,
         ("perturb", "neumann_pinv", "ratio"): 1,
     })
+
+
+def test_post_conditions_are_worded_only_on_the_pair():
+    # every certified bound and rank a route checks on its result raises
+    # through _Pair.confirm, confirm_near or keeps_rank; perturb keeps only
+    # the checks no other route shares
+    assert _refusal_sites("InvariantViolation") == Counter({
+        ("hypotheses", "_exact", None): 1,
+        ("hypotheses", "confirm", None): 1,
+        ("hypotheses", "keeps_rank", None): 1,
+        ("perturb", "update_stewart", None): 1,
+        ("perturb", "update_relative_surjective", None): 1,
+        ("perturb", "_replay_orders", None): 1,
+        ("pinv", "mp_representation", None): 1,
+        ("generators", "commute_identity_check", None): 1,
+        ("reverse_order", "reverse_order_pinv", None): 3,
+    })
+
+
+class TestPostConditions:
+    """The checks a route makes on its result, built and worded on the pair."""
+
+    PAIR = _Pair(np.eye(2), np.diag([0.0, -1.0]))
+
+    def test_slack_is_eq_of_the_scale(self):
+        eq = self.PAIR.tol.eq
+        assert self.PAIR.within(2.0 + eq(2.0), 2.0)
+        assert not self.PAIR.within(2.0 + 2.0 * eq(2.0), 2.0)
+        assert self.PAIR.within(2.0 + eq(0.0), 2.0, 0.0)
+        assert not self.PAIR.within(2.0 + eq(2.0), 2.0, 0.0)
+
+    def test_confirm_words_the_route_and_both_numbers(self):
+        self.PAIR.confirm("some route", "‖X‖", 2.0, 2.0)
+        with pytest.raises(InvariantViolation,
+                           match="^some route: ‖X‖ = 3 exceeds its certified bound 2 by"):
+            self.PAIR.confirm("some route", "‖X‖", 3.0, 2.0)
+
+    def test_confirm_near_reads_the_scale_of_the_pinv(self):
+        a = np.eye(2)
+        # |T'| = 1, so a change of eq(1) is within the slack at bound 0
+        self.PAIR.confirm_near("route", "‖A - B‖", a, a + 0.5 * self.PAIR.tol.eq(1.0) * a)
+        self.PAIR.confirm_near("route", "‖A - B‖", a, 1.5 * a, bound=0.5)
+        with pytest.raises(InvariantViolation, match="^route: ‖A - B‖ = 0.5 exceeds"):
+            self.PAIR.confirm_near("route", "‖A - B‖", a, 1.5 * a)
+
+    def test_keeps_rank_names_the_rank_of_the_sum(self):
+        self.PAIR.keeps_rank("route", 1)
+        with pytest.raises(InvariantViolation,
+                           match="^route: T\\+S has rank 1, not the rank 2"):
+            self.PAIR.keeps_rank("route", 2)

@@ -487,6 +487,17 @@ class TestDingHuangBounds:
         with pytest.raises(ValueError):
             norm_bounds_ding_huang(np.eye(2), np.zeros((2, 2)), "sideways")
 
+    @pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                       reason="known defect: the slack eq(bound) sits below the rounding"
+                              " eps |T'| of the measured change")
+    def test_difference_bound_at_a_large_pinv_norm(self):
+        # kappa(T) = 1 and |T'| = 1e8: the change |(T+S)' - T'| = 0.1 is
+        # measured to about eps |T'| = 2e-8, far above eq(0.1) = 1.1e-10
+        t = random_operator(GenSpec(rows=6, cols=5, rank=5, gamma_target=1e-8,
+                                    norm_target=1e-8, seed=0))
+        db = norm_bounds_ding_huang(t, 1e-9 * t, "injective")
+        assert db.pinv_diff_bound is not None
+
 
 class TestTwoSidedDingInequalities:
     @pytest.mark.parametrize("seed", range(5))
