@@ -7,139 +7,54 @@ closed-form updates for (T+S) with a-priori error bounds, invert via
 Neumann series with certified geometric tails, and verify the reverse-order
 law for factored operators. Every closed-form route is cross-checked
 against an independent SVD oracle.
+
+Importing the package loads none of its modules. Each public name, and each
+submodule, is imported on first access (PEP 562) and read from its home
+module on every access, so a CLI process loads only the modules its command
+runs.
 """
 
-from .errors import (
-    DecompositionError,
-    HypothesisRefusal,
-    InvariantViolation,
-    MatrixMarketError,
-    PinvPerturbError,
-    ShapeMismatchError,
-    SingularMatrixError,
-)
-from .generators import (
-    GenSpec,
-    adversarial_pair,
-    commute_identity_check,
-    haar_unitary,
-    random_contraction,
-    random_operator,
-    random_relative_perturbation,
-    s_alpha,
-)
-from .hypotheses import (
-    HypothesisReport,
-    check_null_inclusion,
-    check_range_inclusion,
-    check_relative_bound,
-    check_stewart_hypotheses,
-    estimate_lambda1,
-)
-from .linalg import (
-    SvdFactors,
-    Tolerances,
-    adjoint,
-    as_matrix,
-    mat_close,
-    multiply,
-    null_space_basis,
-    numerical_rank,
-    orthonormal_range_basis,
-    principal_angle_gap,
-    singular_values,
-    solve_square,
-    spectral_norm,
-    svd,
-)
-from .mmio import read_matrix, write_matrix
-from .perturb import (
-    DingHuangBounds,
-    NeumannResult,
-    UpdateResult,
-    error_bound_lambda2_zero,
-    error_bound_stewart,
-    gamma_continuity_bound,
-    neumann_pinv,
-    norm_bounds_ding_huang,
-    update_relative_surjective,
-    update_stewart,
-)
-from .pinv import (
-    AxiomReport,
-    PinvResult,
-    least_squares_min_norm,
-    mp_representation,
-    pseudoinverse,
-    reduced_min_modulus,
-    verify_mp_axioms,
-)
-from .report import Report, parse_report, serialize_report
-from .reverse_order import FactoredPinv, check_rol_hypotheses, reverse_order_pinv
-from .verify import run_verification
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "DecompositionError",
-    "DingHuangBounds",
-    "FactoredPinv",
-    "GenSpec",
-    "HypothesisRefusal",
-    "HypothesisReport",
-    "InvariantViolation",
-    "MatrixMarketError",
-    "NeumannResult",
-    "PinvPerturbError",
-    "PinvResult",
-    "Report",
-    "ShapeMismatchError",
-    "SingularMatrixError",
-    "SvdFactors",
-    "Tolerances",
-    "UpdateResult",
-    "adjoint",
-    "adversarial_pair",
-    "as_matrix",
-    "check_null_inclusion",
-    "check_range_inclusion",
-    "check_relative_bound",
-    "check_rol_hypotheses",
-    "check_stewart_hypotheses",
-    "commute_identity_check",
-    "error_bound_lambda2_zero",
-    "error_bound_stewart",
-    "estimate_lambda1",
-    "gamma_continuity_bound",
-    "haar_unitary",
-    "least_squares_min_norm",
-    "mat_close",
-    "mp_representation",
-    "multiply",
-    "neumann_pinv",
-    "norm_bounds_ding_huang",
-    "null_space_basis",
-    "numerical_rank",
-    "orthonormal_range_basis",
-    "parse_report",
-    "principal_angle_gap",
-    "pseudoinverse",
-    "random_contraction",
-    "random_operator",
-    "random_relative_perturbation",
-    "read_matrix",
-    "reduced_min_modulus",
-    "reverse_order_pinv",
-    "run_verification",
-    "s_alpha",
-    "serialize_report",
-    "singular_values",
-    "solve_square",
-    "spectral_norm",
-    "svd",
-    "update_relative_surjective",
-    "update_stewart",
-    "verify_mp_axioms",
-    "write_matrix",
-]
+# home module -> the public names it defines
+_PUBLIC = {
+    "cli": (),
+    "errors": ("DecompositionError", "HypothesisRefusal", "InvariantViolation",
+               "MatrixMarketError", "PinvPerturbError", "ShapeMismatchError",
+               "SingularMatrixError"),
+    "generators": ("GenSpec", "adversarial_pair", "commute_identity_check", "haar_unitary",
+                   "random_contraction", "random_operator", "random_relative_perturbation",
+                   "s_alpha"),
+    "hypotheses": ("HypothesisReport", "check_null_inclusion", "check_range_inclusion",
+                   "check_relative_bound", "check_stewart_hypotheses", "estimate_lambda1"),
+    "linalg": ("SvdFactors", "Tolerances", "adjoint", "as_matrix", "mat_close", "multiply",
+               "null_space_basis", "numerical_rank", "orthonormal_range_basis",
+               "principal_angle_gap", "singular_values", "solve_square", "spectral_norm",
+               "svd"),
+    "mmio": ("read_matrix", "write_matrix"),
+    "perturb": ("DingHuangBounds", "NeumannResult", "UpdateResult", "error_bound_lambda2_zero",
+                "error_bound_stewart", "gamma_continuity_bound", "neumann_pinv",
+                "norm_bounds_ding_huang", "update_relative_surjective", "update_stewart"),
+    "pinv": ("AxiomReport", "PinvResult", "least_squares_min_norm", "mp_representation",
+             "pseudoinverse", "reduced_min_modulus", "verify_mp_axioms"),
+    "report": ("Report", "parse_report", "serialize_report"),
+    "reverse_order": ("FactoredPinv", "check_rol_hypotheses", "reverse_order_pinv"),
+    "verify": ("run_verification",),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _PUBLIC:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_PUBLIC))

@@ -24,29 +24,12 @@ from .errors import (
     MatrixMarketError,
     SingularMatrixError,
 )
-from .generators import (
-    GenSpec,
-    _check_alpha,
-    _s_alpha_direction,
-    adversarial_pair,
-    random_operator,
-    random_relative_perturbation,
-)
-from .hypotheses import _Pair, check_stewart_hypotheses
 from .linalg import Tolerances, _norm_bounds, singular_values, spectral_norm
-from .perturb import (
-    _ding_huang,
-    _error_bound_lambda2_zero,
-    _error_bound_stewart,
-    _gamma_continuity,
-    neumann_pinv,
-    update_relative_surjective,
-    update_stewart,
-)
 from .pinv import _axioms, _gamma, _norm_pinv, pseudoinverse, reduced_min_modulus
 from .report import Report, serialize_report
-from .reverse_order import reverse_order_pinv
-from .verify import run_verification
+
+# Each command imports the modules beyond those above inside its function,
+# so a process loads only what its command runs.
 
 _ENV_PREFIX = "PINVPERTURB_"
 
@@ -205,6 +188,8 @@ def _cmd_pinv(args, tol, files):
 
 
 def _cmd_check(args, tol, files):
+    from .hypotheses import check_stewart_hypotheses
+
     t = files.read(args.t)
     s = files.read(args.s)
     rep = check_stewart_hypotheses(t, s, tol)
@@ -223,6 +208,8 @@ def _update_verdicts(res) -> dict:
 
 
 def _cmd_update(args, tol, files):
+    from .perturb import neumann_pinv, update_relative_surjective, update_stewart
+
     t = files.read(args.t)
     s = files.read(args.s)
     inputs = {"t": args.t, "s": args.s, "method": args.method}
@@ -257,6 +244,10 @@ def _cmd_update(args, tol, files):
 
 
 def _cmd_bounds(args, tol, files):
+    from .hypotheses import _Pair
+    from .perturb import (_ding_huang, _error_bound_lambda2_zero, _error_bound_stewart,
+                          _gamma_continuity)
+
     # every bound reads the one pair, so each factorization and norm is
     # measured once; each verdict is what the public bound function returns
     pair = _Pair(files.read(args.t), files.read(args.s), tol)
@@ -297,6 +288,8 @@ def _cmd_bounds(args, tol, files):
 
 
 def _cmd_rol(args, tol, files):
+    from .reverse_order import reverse_order_pinv
+
     f = files.read(args.f)
     g = files.read(args.g)
     fp = reverse_order_pinv(f, g, tol)
@@ -321,6 +314,9 @@ def _cmd_rol(args, tol, files):
 
 
 def _cmd_gen(args, tol, files):
+    from .generators import (GenSpec, _check_alpha, _s_alpha_direction, adversarial_pair,
+                             random_operator, random_relative_perturbation)
+
     inputs = {"what": args.what, "seed": args.seed}
     if args.what == "operator":
         rank = args.rank if args.rank is not None else min(args.rows, args.cols)
@@ -336,6 +332,8 @@ def _cmd_gen(args, tol, files):
             "achieved_gamma": _gamma(sigma, m.shape, tol),
         }
     elif args.what == "salpha":
+        from .hypotheses import _Pair
+
         t = files.read(args.t)
         gamma = reduced_min_modulus(t, tol)
         alpha = args.alpha if args.alpha is not None else gamma
@@ -370,6 +368,8 @@ def _cmd_gen(args, tol, files):
 
 
 def _cmd_verify(args, tol, files):
+    from .verify import run_verification
+
     seed = args.verify_seed if args.verify_seed is not None else args.seed
     verdicts, passed = run_verification(
         trials=args.trials, seed=seed, max_dim=args.max_dim, tol=tol

@@ -76,8 +76,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank_rel", "eq_abs", "eq_rel", "margin_strict"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"Tolerances.{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"Tolerances.{name} must be finite and strictly positive")
         if self.rank_rel >= 1.0:
             raise ValueError("Tolerances.rank_rel must be < 1")
         if self.margin_strict >= 1.0:
@@ -124,11 +124,25 @@ def adjoint(a) -> np.ndarray:
 
 
 def _svd(m: np.ndarray, **kwargs):
-    """``np.linalg.svd`` with non-convergence raised as :class:`DecompositionError`."""
+    """``np.linalg.svd``, retried on the adjoint, then raised as :class:`DecompositionError`.
+
+    LAPACK's divide-and-conquer SVD can fail on a matrix whose singular
+    values all but coincide (such as a small multiple of a unitary) and
+    still converge on its adjoint. ``m* = u2 diag(s) vh2`` gives
+    ``m = vh2* diag(s) u2*``, so the retry swaps the factors.
+    """
     try:
         return np.linalg.svd(m, **kwargs)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        factors = np.linalg.svd(m.conj().T, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed to converge for shape {m.shape}: {exc}") from exc
+    if not kwargs.get("compute_uv", True):
+        return factors
+    u2, s, vh2 = factors
+    return vh2.conj().T, s, u2.conj().T
 
 
 def _factor(m: np.ndarray):

@@ -378,6 +378,24 @@ class TestToleranceConfiguration:
         )
         assert json.loads(out)["tolerances_used"]["margin_strict"] == 1e-9
 
+    @pytest.mark.parametrize("command", [["check"], ["update", "--method", "stewart"]])
+    @pytest.mark.parametrize("source", ["--tol-abs", "--tol-rel",
+                                        "PINVPERTURB_TOL_ABS", "PINVPERTURB_TOL_REL"])
+    def test_non_finite_tolerance_is_a_usage_error(self, fixtures, capsys, monkeypatch,
+                                                   source, command):
+        # an infinite slack would certify the range-violating pair that the
+        # default tolerances refuse
+        t, s = fixtures["range_violation"]
+        if source.startswith("--"):
+            flags = [source, "inf"]
+        else:
+            flags = []
+            monkeypatch.setenv(source, "inf")
+        code, out, _ = run_cli(capsys, "--json", *flags, command[0], t, s, *command[1:])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError" and "finite" in error["message"]
+
 
 class TestVerifyCommand:
     def test_deterministic_per_seed(self, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pinvperturb import (
+    DecompositionError,
     ShapeMismatchError,
     SingularMatrixError,
     Tolerances,
@@ -14,6 +15,7 @@ from pinvperturb import (
     null_space_basis,
     orthonormal_range_basis,
     principal_angle_gap,
+    singular_values,
     solve_square,
     spectral_norm,
     svd,
@@ -52,6 +54,14 @@ class TestTolerances:
     def test_rejects_non_positive(self, field):
         with pytest.raises(ValueError):
             Tolerances(**{field: 0.0})
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["rank_rel", "eq_abs", "eq_rel", "margin_strict"])
+    def test_rejects_non_finite(self, field, value):
+        # an infinite equality slack certifies any pair, and its report
+        # cannot be serialized
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(**{field: value})
 
     def test_rejects_large_rank_rel_and_margin(self):
         with pytest.raises(ValueError):
@@ -151,6 +161,46 @@ class TestSvd:
         np.testing.assert_array_equal(f1.u, f2.u)
         np.testing.assert_array_equal(f1.sigma, f2.sigma)
         np.testing.assert_array_equal(f1.v, f2.v)
+
+
+class TestSvdRetriedOnTheAdjoint:
+    """An SVD that fails to converge is taken of the adjoint, factors swapped."""
+
+    @staticmethod
+    def _fail_on(monkeypatch, bad):
+        real = np.linalg.svd
+
+        def svd_failing_on_bad(m, *args, **kwargs):
+            if m.shape == bad.shape and np.array_equal(m, bad):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_on_bad)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+    def test_factors_of_the_adjoint_are_swapped(self, monkeypatch, shape):
+        a = as_matrix(random_complex(np.random.default_rng(11), *shape))
+        expected = svd(a)
+        self._fail_on(monkeypatch, a)
+        f = svd(a)
+        np.testing.assert_allclose(f.sigma, expected.sigma, rtol=1e-13)
+        assert f.u.shape == expected.u.shape and f.v.shape == expected.v.shape
+        k = min(shape)
+        assert spectral_norm(f.u.conj().T @ f.u - np.eye(k)) <= 1e-12
+        assert spectral_norm(f.v.conj().T @ f.v - np.eye(k)) <= 1e-12
+        assert spectral_norm((f.u * f.sigma) @ f.v.conj().T - a) <= 1e-12
+        np.testing.assert_allclose(singular_values(a), expected.sigma, rtol=1e-13)
+        # the null basis reads the square right factor of a wide matrix
+        basis = null_space_basis(a)
+        assert basis.shape == (shape[1], shape[1] - k)
+        assert basis.size == 0 or spectral_norm(a @ basis) <= 1e-12
+
+    def test_failure_on_the_adjoint_too_is_a_decomposition_error(self, monkeypatch):
+        a = as_matrix(random_complex(np.random.default_rng(12), 4, 3))
+        self._fail_on(monkeypatch, a)
+        self._fail_on(monkeypatch, a.conj().T)
+        with pytest.raises(DecompositionError, match="shape \\(4, 3\\)"):
+            svd(a)
 
 
 class TestSpectralNorm:

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +209,31 @@ class TestNeumann:
         assert err <= res.residual_bound + 1e-10
         cap = int(np.ceil(np.log(1e-12) / np.log(res.ratio))) + 2
         assert res.terms_used <= cap
+
+
+def test_neumann_on_a_small_multiple_of_a_unitary_step():
+    """S = T + 0.005 U T: (S-T)T' = 0.005 U has 60 singular values that agree
+    to 2e-17, and single-threaded OpenBLAS fails to factor it with vectors.
+    A fresh process pins the BLAS thread count before numpy loads."""
+    script = textwrap.dedent("""
+        import numpy as np
+        from pinvperturb import GenSpec, haar_unitary, neumann_pinv, random_operator
+        rng = np.random.default_rng((906, 2, 534))
+        t = random_operator(GenSpec(60, 90, 60, 0.5, 2.0, int(rng.integers(0, 2**62))))
+        s = t + 0.005 * (haar_unitary(60, rng) @ t)
+        res = neumann_pinv(t, s)
+        ref = np.linalg.pinv(s)
+        print(res.converged, np.linalg.norm(res.pinv_s - ref, 2) / np.linalg.norm(ref, 2))
+    """)
+    src = str(Path(perturb.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-400:]
+    converged, rel = proc.stdout.split()
+    assert converged == "True"
+    assert float(rel) <= 1e-12
 
 
 class TestNeumannOrderCertificate:
