@@ -39,6 +39,11 @@ The surjective update decides the relative bound through
 |ST'| proves it for every x, and the sampler of
 :func:`check_relative_bound` runs only when the certificate cannot decide;
 it supplies every failing verdict.
+
+Each norm of the pair is one ``spectral_norm``, a Hermitian eigenvalue
+solve on a Gram matrix; |S| and |ST'| are read only from ``norm_s`` and
+``norm_std``. The singular vectors of S, ST' and T+S are directions of the
+sampler alone, so their SVDs are taken only when it runs.
 """
 
 from dataclasses import dataclass
@@ -47,8 +52,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation
-from .linalg import (SvdFactors, Tolerances, _norm_bounds, _norm_le, _pair, _room, _tol,
-                     spectral_norm, svd)
+from .linalg import (SvdFactors, Tolerances, _norm_bounds, _norm_le, _norm_room, _pair,
+                     _room, _tol, spectral_norm, svd)
 from .pinv import PinvResult, _norm_pinv, pseudoinverse
 
 
@@ -80,8 +85,10 @@ class _Pair:
     reads it and kept for the rest of the call.
 
     ``pr_t`` may be passed in as the caller's factorization of T, shared by
-    perturbations of one operator. ``norm_s`` is |S| measured on its own;
-    the relative routes read |S| from their factorization ``f_s``.
+    perturbations of one operator. ``norm_s`` and ``norm_std`` are the only
+    readings of |S| and |ST'|. ``f_s``, ``f_std`` and ``v_sum``, the
+    singular vectors of S, ST' and T+S, are for the sampler of the relative
+    bound only, so their SVDs are taken only when it runs.
 
     Each inclusion has an exact reading, ``range_inclusion`` and
     ``null_inclusion``: the spectral norms of both routes' residuals, their
@@ -409,8 +416,7 @@ def _relative_slack(pair: _Pair, lambda1: float, lambda2: float,
 
     The directions are the right singular vectors of T, S (``f_s``) and T+S
     (``v_sum``), a basis of N(T), and T' times the right singular vectors of
-    S T' (``f_std``); |T| and |S| are read from the leading singular values
-    of T and ``f_s``.
+    S T' (``f_std``).
     """
     prt, fs = pair.pr_t, pair.f_s
     mt, ms = pair.mt, pair.ms
@@ -435,8 +441,8 @@ def _relative_slack(pair: _Pair, lambda1: float, lambda2: float,
 
 def _relative_threshold(pair: _Pair) -> float:
     """How far the slack of the relative bound may fall below 0: ``eq`` of
-    max(|T|, |S|), read from the factorizations of T and S (``f_s``)."""
-    return pair.tol.eq(max(float(pair.pr_t.sigma[0]), float(pair.f_s.sigma[0])))
+    max(|T|, |S|), with |T| read from the factorization of T."""
+    return pair.tol.eq(max(float(pair.pr_t.sigma[0]), pair.norm_s))
 
 
 def _relative_bound(pair: _Pair, lambda1: float, lambda2: float) -> tuple[bool, float | None]:
@@ -449,17 +455,18 @@ def _relative_bound(pair: _Pair, lambda1: float, lambda2: float) -> tuple[bool, 
     when lambda2 < 0, the slack of a unit x is at least
     ``c |Tx| - (1 + |lambda2|) |E|`` with ``c = lambda1 + lambda2 - (1 +
     |lambda2|) mu``, hence at least ``min(0, c) |T| - (1 + |lambda2|) |E|``.
-    With mu and |T| read from ``f_std`` and the factorization of T and
-    widened by the rounding allowance, and |E| by the Frobenius bound the
-    pair keeps for its null inclusion, the bound is certified when that
-    clears the sampler's threshold and the same bounds certify N(T) in
-    N(S). The certificate only certifies, and it never takes the exact
-    inclusion reading; in every other case :func:`_relative_slack` decides
-    and supplies the worst slack of a failing verdict.
+    With mu measured as ``norm_std`` and widened by ``_norm_room``, |T| read
+    from the factorization of T and widened by ``_room``, and |E| by the
+    Frobenius bound the pair keeps for its null inclusion, the bound is
+    certified when that clears the sampler's threshold and the same bounds
+    certify N(T) in N(S). The certificate only certifies, and it never
+    takes the exact inclusion reading; in every other case
+    :func:`_relative_slack` decides and supplies the worst slack of a
+    failing verdict.
     """
     null_ok, (_, e_hi), _ = pair._bounded("null_inclusion")
     if null_ok:
-        mu_hi = float(pair.f_std.sigma[0]) * (1.0 + _room(pair.std.shape))
+        mu_hi = pair.norm_std * (1.0 + _norm_room(pair.std.shape))
         sigma_hi = float(pair.pr_t.sigma[0]) * (1.0 + _room(pair.mt.shape))
         c = lambda1 + lambda2 - (1.0 + abs(lambda2)) * mu_hi
         if min(0.0, c) * sigma_hi - (1.0 + abs(lambda2)) * e_hi >= -_relative_threshold(pair):

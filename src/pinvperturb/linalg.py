@@ -174,13 +174,56 @@ def singular_values(a) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value; 0.0 for matrices with a zero dimension."""
+    """Largest singular value, as the square root of the largest eigenvalue
+    of the smaller Gram matrix; 0.0 for a zero matrix or a zero dimension.
+
+    The entries are first scaled by ``2^-e``, where ``2^(e-1)`` is at most
+    the largest real or imaginary part and ``2^e`` exceeds it, so the Gram
+    matrix neither overflows nor underflows as a whole; scaling by a power
+    of two is exact, and so is undoing it, short of the subnormal range. A
+    norm above the largest float is ``inf``, as the SVD reports it.
+
+    Rounding. Let ``A`` (scaled) be ``m x n`` with ``p = max(m, n)`` and
+    ``k = min(m, n)``, and ``G = A*A`` or ``AA*``, whichever is ``k x k``.
+    Each entry of ``G`` is a complex inner product of length ``p``, so
+    ``fl(G) = G + E`` with ``|E| <= sqrt(2) gamma_{p+2} |A|*|A|`` entrywise
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.6), where
+    ``gamma_j = j eps / (1 - j eps)``; hence
+    ``|E|_2 <= |E|_F <= sqrt(2) gamma_{p+2} |A|_F^2 <= sqrt(2) gamma_{p+2} k |A|_2^2``.
+    Entries that underflow in the scaling or in the products add at most
+    ``p k 2^-1074`` to ``|E|_F`` against ``|A|_2^2 >= 1/4``. ``eigvalsh``
+    is backward stable: its largest eigenvalue is exact for ``fl(G) + F``
+    with ``|F| <= c eps |fl(G)|`` for a modest ``c`` (Golub & Van Loan,
+    *Matrix Computations*, §8.1), and by Weyl's inequality it moves by at
+    most ``|E| + |F|``. The square root halves the relative error and adds
+    one rounding, so the computed norm is within
+    ``(k (p + 2) / sqrt(2) + c / 2 + 1) eps`` relative of ``|A|_2``, to
+    first order; :func:`_norm_room` allows for that. Because
+    ``|A|_2 <= |A|_F``, the error of the eigenvalue is also at most
+    ``(sqrt(2) gamma_{p+2} + c eps) |A|_F^2``, and the Gram diagonal holds
+    the squared column norms to ``gamma_p`` relative, so the computed norm
+    stays within the bounds of :func:`_norm_bounds`.
+
+    Only the largest singular value is read this way: factorizations,
+    ranks, gamma and every small singular value take an SVD.
+    """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.size == 0:
         return 0.0
-    return float(_svd(m, compute_uv=False)[0])
+    parts = np.ascontiguousarray(m).view(np.float64)
+    big = float(np.abs(parts).max())
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    x = np.ldexp(parts, -e).view(np.complex128)
+    gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
+    root = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        return math.inf
 
 
 def numerical_rank(sigma: np.ndarray, shape: tuple, tol: Tolerances | None = None) -> int:
@@ -197,12 +240,25 @@ def _room(shape: tuple) -> float:
 
     It covers the rounding of the sums of squares behind the Frobenius and
     column norms, at most ``(rows + cols + 2) eps / 2`` relative, and the
-    error of the computed largest singular value, which LAPACK bounds by a
-    modest multiple of ``eps |A|`` (in practice far below
+    error of a singular value read from a factorization, which LAPACK
+    bounds by a modest multiple of ``eps |A|`` (in practice far below
     ``(rows + cols) eps``). ``8 (rows + cols + 1) eps`` covers both with a
-    wide margin and stays at the level of eps.
+    wide margin and stays at the level of eps. A norm measured by
+    :func:`spectral_norm` is widened by :func:`_norm_room` instead.
     """
     return 8.0 * (sum(shape) + 1) * _EPS
+
+
+def _norm_room(shape: tuple) -> float:
+    """Relative allowance that widens a :func:`spectral_norm` of a ``shape``
+    matrix into a bound on the exact norm.
+
+    It adds ``min(shape) (max(shape) + 2) eps``, which covers the rounding
+    of the Gram matrix proved in :func:`spectral_norm`, to :func:`_room`,
+    which covers the eigenvalue solve and the square root as it covers an
+    SVD.
+    """
+    return _room(shape) + min(shape) * (max(shape) + 2) * _EPS
 
 
 def _norm_bounds(m: np.ndarray) -> tuple[float, float]:
@@ -317,10 +373,10 @@ def _solve_shifted(a, b, norm_x: float, tol: Tolerances, right: bool = False) ->
     measured ``|X|``.
 
     By Weyl's inequality the singular values of ``I + X`` lie in
-    ``[1 - |X|, 1 + |X|]``; ``norm_x`` is widened by the rounding allowance
+    ``[1 - |X|, 1 + |X|]``; ``norm_x`` is widened by :func:`_norm_room`
     before it bounds the exact ``|X|``.
     """
-    x_hi = norm_x * (1.0 + _room(np.shape(a)))
+    x_hi = norm_x * (1.0 + _norm_room(np.shape(a)))
     return _solve_bounded(a, b, tol, 1.0 - x_hi, 1.0 + x_hi, right)
 
 

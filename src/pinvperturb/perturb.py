@@ -4,7 +4,9 @@ Every update route first verifies its hypotheses (refusing with a typed
 error when they fail), then computes the closed form, and finally checks the
 rank, bounds and identities its theorem certifies for the result through the
 pair's post-conditions; a failed one is an :class:`InvariantViolation`, never
-a silent fallback. ``oracle_discrepancy`` is reported, not judged.
+a silent fallback. The Stewart and relative updates also confirm their
+result against the SVD oracle of T+S at the scale of max(|result|, |T'|),
+and report ``oracle_discrepancy``.
 
 Each route and bound declares the shared hypotheses it needs as a tuple of
 condition names (``_STEWART``, the cases of ``_DH_CASES``, ...) and refuses
@@ -20,6 +22,13 @@ it to its private helper (:func:`_error_bound_stewart`,
 :func:`_ding_huang`), which takes only the pair and its own route
 parameters; a caller that runs several bounds on one pair, like ``bounds``
 or the gamma-continuity sequences of ``verify``, builds one pair for all.
+
+Every norm a route returns or compares is the pair's own reading
+(``norm_s``, ``norm_tds``, ``norm_std``) or a ``spectral_norm``, one
+Hermitian eigenvalue solve on a Gram matrix; none is read from a singular
+vector factorization. Where a measured norm is widened to bound the exact
+one (the Neumann ratio and term norms, the shifted solves) the allowance is
+``linalg._norm_room``, which covers the Gram rounding.
 """
 
 import math
@@ -33,6 +42,7 @@ from .linalg import (
     _EPS,
     Tolerances,
     _norm_bounds,
+    _norm_room,
     _pair,
     _room,
     _solve_shifted,
@@ -50,7 +60,8 @@ class UpdateResult:
     ``relative_surjective``, ``neumann_series``. bound_apriori (when the
     route has one) dominates the true change |(T+S)' - T'|.
     oracle_discrepancy measures the update against the direct SVD
-    pseudoinverse of T+S.
+    pseudoinverse of T+S; a route raises :class:`InvariantViolation` rather
+    than return an update farther than ``eq(max(|update|, |T'|))`` from it.
     """
 
     pinv_updated: np.ndarray
@@ -64,6 +75,8 @@ class UpdateResult:
 class NeumannResult:
     """Truncated-series pseudoinverse with its certified geometric tail.
 
+    ratio is |(S - T)T'|, measured as the pair's ``norm_std`` (a Gram
+    eigenvalue; no singular vectors are formed for it).
     residual_bound = |T'| * ratio**terms_used / (1 - ratio) bounds the
     truncation error whether or not the series reached eps_series;
     converged records whether it did. |T'| is read as 1 / gamma(T).
@@ -110,8 +123,8 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
     Requires the Stewart hypotheses (strict norm condition plus both
     inclusions); refuses naming the failing condition otherwise. Both forms
     are computed and must agree, the recovery identity
-    T' = (T+S)'(I + S T') is verified, and the distance of the returned left
-    form from the direct oracle is reported.
+    T' = (T+S)'(I + S T') is verified, and the returned left form must agree
+    with the direct oracle; its distance from the oracle is reported.
     """
     pair = _Pair(t, s, tol)
     tol = pair.tol
@@ -128,8 +141,9 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
             f" ‖L - R‖ = {spectral_norm(left - right):.3e}"
         )
     pair.confirm_near("Stewart update", "‖(T+S)†(I + ST†) - T†‖", left @ shift_cod, td)
-
     oracle = pair.pr_sum.pinv
+    pair.confirm_near("Stewart update", "‖(I + T†S)⁻¹T† - (T+S)†‖", left, oracle)
+
     bound = pair.norm_s * norm_td**2 / (1.0 - pair.norm_tds)
     return UpdateResult(
         pinv_updated=left,
@@ -154,8 +168,9 @@ def update_relative_surjective(
     |Sx| <= lambda1 |Tx| + lambda2 |(T+S)x| with lambda1 < 1, certified
     exactly from |ST'| when N(T) lies in N(S) and verified by sampling
     otherwise (``hypotheses._relative_bound``). Asserts that T+S stays
-    surjective and that
-    |(T+S)'| <= (1 + lambda2) / (1 - lambda1) * |T'|.
+    surjective, that
+    |(T+S)'| <= (1 + lambda2) / (1 - lambda1) * |T'|, and that the result
+    agrees with the direct oracle.
     """
     pair = _Pair(t, s, tol)
     pair.require("relative update", "surjective")
@@ -176,7 +191,7 @@ def update_relative_surjective(
         )
 
     norm_td = _norm_pinv(prt)
-    norm_std = float(pair.f_std.sigma[0])
+    norm_std = pair.norm_std
     try:
         updated = _solve_shifted(np.eye(rows, dtype=np.complex128) + pair.std, td,
                                  norm_std, tol, right=True)
@@ -189,8 +204,9 @@ def update_relative_surjective(
     pair.keeps_rank("relative update", rows)
     pair.confirm("relative update", "‖(T+S)†‖", _norm_pinv(oracle_res),
                  (1.0 + lambda2) / (1.0 - lambda1) * norm_td)
+    pair.confirm_near("relative update", "‖T†(I + ST†)⁻¹ - (T+S)†‖", updated, oracle_res.pinv)
 
-    norm_s = float(pair.f_s.sigma[0])
+    norm_s = pair.norm_s
     bound = None
     if lambda2 == 0.0 and norm_std < 1.0:
         bound = norm_td**2 * norm_s / (1.0 - norm_std)
@@ -243,7 +259,7 @@ def neumann_pinv(
     td = prt.pinv
     norm_td = _norm_pinv(prt)
     step = pair.std
-    ratio = float(pair.f_std.sigma[0])
+    ratio = pair.norm_std
     if not pair.strict(ratio):
         raise HypothesisRefusal(
             f"Neumann inversion refused: ratio ‖(S-T)T†‖ = {ratio:.6g} ≥ 1",
@@ -261,15 +277,14 @@ def neumann_pinv(
     # the stopping rule and the order certificate read certified bounds on
     # the term norms (_term_bounds); a term is measured only when its
     # bounds cannot decide |term| < eps
-    room = _room(td.shape)
-    ratio_hi = ratio * (1.0 + room)
+    ratio_hi = ratio * (1.0 + _norm_room(step.shape))
     # |fl(AB) - AB| <= sqrt(2) gamma_{k+2} |A||B| entrywise for complex
     # products with inner dimension k = rows (Higham ch. 3), at most
     # (rows + 2) eps |A|_F |B|_F in norm
     rounding = (rows + 2) * _EPS * _norm_bounds(step)[1]
     term = td
     total = td.copy()
-    term_bounds = [norm_td * (1.0 + room)]  # partial sums are not kept
+    term_bounds = [norm_td * (1.0 + _room(td.shape))]  # partial sums are not kept
     fro = _norm_bounds(td)[1]
     last_norm = norm_td  # measured norm of the last summed term, None if not measured
     converged = False
@@ -284,7 +299,7 @@ def neumann_pinv(
         else:
             norm_nxt = spectral_norm(nxt)
             stop = norm_nxt < eps
-            hi = min(hi, norm_nxt * (1.0 + 2.0 * room))
+            hi = min(hi, norm_nxt * (1.0 + _norm_room(nxt.shape)))
         if stop:
             converged = True
             break

@@ -8,6 +8,7 @@ oracle throughout the test suite.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,15 +45,19 @@ class PinvResult:
     gamma
         Reduced minimum modulus: the smallest nonzero singular value,
         ``sigma[rank - 1]``; 0.0 for the zero matrix.
-    proj_range, proj_rowspace
-        Orthogonal projections onto the column space and onto the orthogonal
-        complement of the null space, built from the singular bases (not
-        from pinv products, so they can cross-check those products).
+    u
+        The economy left singular vectors, ``(rows, min(rows, cols))``,
+        matching ``sigma`` column by column.
     v
         The economy right singular vectors, ``(cols, min(rows, cols))``,
         matching ``sigma`` column by column.
     null_basis
         Orthonormal basis of the numerical null space, ``(cols, cols - rank)``.
+    proj_range, proj_rowspace
+        Orthogonal projections onto the column space and onto the orthogonal
+        complement of the null space, built from the singular bases ``u``
+        and ``v`` (not from pinv products, so they can cross-check those
+        products). Each is formed when first read and then kept.
 
     The SVD behind it is the economy one, except that a wide source keeps
     all of V (``full_matrices=True``) so the null basis is available; no
@@ -63,10 +68,19 @@ class PinvResult:
     rank: int
     sigma: np.ndarray
     gamma: float
-    proj_range: np.ndarray
-    proj_rowspace: np.ndarray
+    u: np.ndarray
     v: np.ndarray
     null_basis: np.ndarray
+
+    @cached_property
+    def proj_range(self) -> np.ndarray:
+        ur = self.u[:, :self.rank]
+        return ur @ ur.conj().T
+
+    @cached_property
+    def proj_rowspace(self) -> np.ndarray:
+        vr = self.v[:, :self.rank]
+        return vr @ vr.conj().T
 
 
 @dataclass(frozen=True)
@@ -90,23 +104,18 @@ def pseudoinverse(t, tol: Tolerances | None = None) -> PinvResult:
     m = as_matrix(t)
     u, s, v = _factor(m)
     r = numerical_rank(s, m.shape, tol)
-    ur = u[:, :r]
-    vr = v[:, :r]
     if r:
-        pinv = (vr / s[:r]) @ ur.conj().T
+        pinv = (v[:, :r] / s[:r]) @ u[:, :r].conj().T
         gamma = float(s[r - 1])
     else:
         pinv = np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
         gamma = 0.0
-    proj_range = ur @ ur.conj().T
-    proj_rowspace = vr @ vr.conj().T
     return PinvResult(
         pinv=pinv,
         rank=r,
         sigma=s,
         gamma=gamma,
-        proj_range=proj_range,
-        proj_rowspace=proj_rowspace,
+        u=u,
         v=v[:, :s.size],
         null_basis=v[:, r:],
     )

@@ -427,7 +427,15 @@ def run_verification(
     max_dim: int = 20,
     tol: Tolerances | None = None,
 ):
-    """Run every suite; returns (ordered verdict dict, overall pass flag)."""
+    """Run every suite; returns (ordered verdict dict, overall pass flag).
+
+    Refuses ``trials < 1`` and ``max_dim < 2`` with ``ValueError`` before
+    any trial runs.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
+    if max_dim < 2:
+        raise ValueError(f"max_dim must be at least 2, got {max_dim}")
     tol = _tol(tol)
     suites = [
         suite_mp_axioms(trials, max_dim, seed, tol),

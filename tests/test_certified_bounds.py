@@ -174,9 +174,9 @@ def test_deferring_measures_more():
     bounded = count(lambda: pinvperturb.update_stewart(t, s))
     with bounds_never_decide():
         exact = count(lambda: pinvperturb.update_stewart(t, s))
-    # the two inclusions (four residuals), mat_close (three norms) and the
-    # recovery identity (two norms)
-    assert exact - bounded == 9
+    # the two inclusions (four residuals), mat_close (three norms), the
+    # recovery identity (two norms) and the oracle check (two norms)
+    assert exact - bounded == 11
 
 
 @pytest.mark.parametrize("kind", ["range_violation", "null_violation"])

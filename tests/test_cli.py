@@ -17,6 +17,7 @@ from pinvperturb import (
 )
 from pinvperturb.cli import cli_dispatch
 from pinvperturb.report import Report, parse_report, serialize_report
+from conftest import rank_jump_pair
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,16 @@ class TestExitCodeContract:
         assert code == 0
         rep = json.loads(out)
         assert rep["verdicts"]["oracle_discrepancy"] <= 1e-8
+
+    def test_update_contradicted_by_its_oracle_exits_1(self, tmp_path, capsys):
+        paths = [str(tmp_path / "t.mtx"), str(tmp_path / "s.mtx")]
+        for m, path in zip(rank_jump_pair(), paths):
+            write_matrix(m, path)
+        code, out, _ = run_cli(capsys, "--json", "update", *paths, "--method", "stewart")
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "InvariantViolation"
+        assert "Stewart update" in err["message"]
 
     @pytest.mark.parametrize("kind,needle", [
         ("norm_violation", "‖T†S‖"),
@@ -424,3 +435,12 @@ class TestVerifyCommand:
                             "--seed", "1", "--max-dim", "6")
         rep = parse_report(out)
         assert serialize_report(rep) == out.rstrip("\n")
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--trials", "0", "trials"), ("--trials", "-3", "trials"), ("--max-dim", "1", "max_dim"),
+    ])
+    def test_invalid_size_is_refused_by_name(self, capsys, flag, value, name):
+        code, out, _ = run_cli(capsys, "--json", "verify", flag, value)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError" and error["message"].startswith(name)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from pinvperturb import (
     spectral_norm,
     svd,
 )
+from pinvperturb import linalg
+from pinvperturb.generators import haar_unitary
 from conftest import random_complex
 
 
@@ -201,6 +205,83 @@ class TestSvdRetriedOnTheAdjoint:
         self._fail_on(monkeypatch, a.conj().T)
         with pytest.raises(DecompositionError, match="shape \\(4, 3\\)"):
             svd(a)
+
+
+_TINY = 2.0**-1072  # a few subnormal ulps: the rounding of a subnormal result
+
+
+def _matrix(rows, cols, seed, kind, log_scale):
+    """A test matrix: complex Gaussian at 10**log_scale, orthonormal columns
+    or rows of a Haar unitary (where the Gram rounding is worst), entries of
+    up to 1.7e308 in both parts, or zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "huge":
+        return 1.7e308 * (rng.uniform(-1.0, 1.0, (rows, cols))
+                          + 1j * rng.uniform(-1.0, 1.0, (rows, cols)))
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.complex128)
+    if kind == "unitary":
+        q = haar_unitary(max(rows, cols), rng)[:rows, :cols]
+        return 10.0**log_scale * q
+    return 10.0**log_scale * random_complex(rng, rows, cols)
+
+
+_MATRICES = dict(
+    rows=st.integers(1, 24),
+    cols=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["gaussian", "unitary", "huge", "zero"]),
+    # ordinary, subnormal and near-overflow scales
+    log_scale=st.one_of(st.floats(-8.0, 8.0), st.floats(-323.0, -300.0),
+                        st.floats(300.0, 307.0)),
+)
+
+
+class TestSpectralNormProperties:
+    @given(**_MATRICES)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_svd_within_the_proven_bound(self, rows, cols, seed, kind,
+                                                        log_scale):
+        a = _matrix(rows, cols, seed, kind, log_scale)
+        self._agrees(a)
+
+    def test_agrees_on_a_subnormal_scalar(self):
+        self._agrees(np.array([[-1.417e-313]]))
+        self._agrees(np.array([[-1.417e-313 + 5e-324j]]))
+
+    def test_agrees_on_entries_near_the_largest_float(self):
+        self._agrees(np.array([[1e308 + 1e308j, -1e308], [1e308j, 1e308 - 1e308j]]))
+        self._agrees(np.array([[1e308 - 1e308j]]))
+
+    @staticmethod
+    def _agrees(a):
+        got = spectral_norm(a)
+        want = float(np.linalg.svd(a, compute_uv=False)[0])
+        # the Gram rounding (_norm_room) plus the SVD's own error (_room)
+        room = linalg._norm_room(a.shape) + linalg._room(a.shape)
+        if math.isinf(want) or math.isinf(got):
+            assert min(got, want) >= np.finfo(np.float64).max * (1.0 - room)
+        else:
+            assert abs(got - want) <= room * want + _TINY
+        if not a.any():
+            assert got == 0.0
+
+    @given(**_MATRICES, k=st.integers(-40, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, rows, cols, seed, kind, log_scale, k):
+        a = _matrix(rows, cols, seed, kind, min(max(log_scale, -250.0), 250.0))
+        if kind == "huge":
+            a = a * 2.0**-60
+        assert spectral_norm(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)) == \
+            math.ldexp(spectral_norm(a), k)
+
+    @given(**_MATRICES)
+    @settings(max_examples=300, deadline=None)
+    def test_lies_within_the_certified_bounds(self, rows, cols, seed, kind, log_scale):
+        a = _matrix(rows, cols, seed, kind, log_scale)
+        lo, hi = linalg._norm_bounds(a)
+        if hi < math.inf:
+            assert lo <= spectral_norm(a) <= hi
 
 
 class TestSpectralNorm:

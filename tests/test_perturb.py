@@ -32,7 +32,7 @@ from pinvperturb import (
 from pinvperturb import perturb
 from pinvperturb.generators import GenSpec, haar_unitary, random_operator, s_alpha
 from pinvperturb.linalg import DEFAULT_TOL
-from conftest import random_complex
+from conftest import random_complex, rank_jump_pair
 
 
 def _surjective(rng, rows, cols, gamma=0.5, norm=1.5):
@@ -92,6 +92,15 @@ class TestUpdateStewart:
         assert res.oracle_discrepancy <= 1e-8 * norm_td
         measured = spectral_norm(pseudoinverse(t + s).pinv - pseudoinverse(t).pinv)
         assert res.bound_apriori >= measured - 1e-10
+
+    def test_result_contradicted_by_its_oracle_is_not_returned(self):
+        # the Stewart hypotheses hold, but the SVD of T+S reads rank 2 and its
+        # pseudoinverse is 1e15 away from the closed form: the route must not
+        # return a result that its own oracle contradicts
+        t, s = rank_jump_pair()
+        assert pseudoinverse(t).rank == 1 and pseudoinverse(t + s).rank == 2
+        with pytest.raises(InvariantViolation, match="Stewart update"):
+            update_stewart(t, s)
 
 
 class TestUpdateRelativeSurjective:

@@ -1,18 +1,22 @@
-"""SVD calls per public call, pinned on fixed seeded pairs.
+"""SVD and eigvalsh calls per public call, pinned on fixed seeded pairs.
 
 Each operator is factored once per call and every derived quantity is read
 from that factorization, so the number of SVDs a call makes is part of its
-contract. Counts are exact and hardware-independent, unlike wall time.
-Every call to ``np.linalg.svd`` is recorded together with whether it formed
-full singular-vector matrices (``compute_uv`` and ``full_matrices`` both
-true); tall and square inputs never need them. A second check hashes every
-SVD input: no public route, and no command but ``verify``, takes an SVD of
-the same matrix twice with the same ``compute_uv``.
+contract; every other norm is one ``np.linalg.eigvalsh`` of a Gram matrix
+(``spectral_norm``), so each pin is the pair (SVDs, eigvalsh calls). Counts
+are exact and hardware-independent, unlike wall time. Every call to
+``np.linalg.svd`` is recorded together with whether it formed full
+singular-vector matrices (``compute_uv`` and ``full_matrices`` both true);
+tall and square inputs never need them. A second check hashes the input of
+every SVD and every eigvalsh call: no public route, and no command but
+``verify``, takes an SVD of the same matrix twice with the same
+``compute_uv``, or the eigenvalues of the same Gram matrix twice.
 
 A test that only decides ``|A| <= threshold`` is decided from certified
-Frobenius and column-norm bounds and takes an SVD only when those cannot
-decide, so on these well-separated pairs the counts below are the
-factorizations and the norms a route returns or computes a value from.
+Frobenius and column-norm bounds and measures the norm only when those
+cannot decide, so on these well-separated pairs the counts below are the
+factorizations (SVDs) and the norms a route returns or computes a value
+from (eigvalsh calls).
 """
 
 import hashlib
@@ -48,36 +52,55 @@ from pinvperturb.verify import run_verification
 
 
 def svd_calls(call, *args):
-    """Run ``call(*args)``; one ``full`` flag per ``np.linalg.svd`` call it made."""
-    calls = []
-    real = np.linalg.svd
+    """Run ``call(*args)``; ``(flags, eigvalsh)``: one ``full`` flag per
+    ``np.linalg.svd`` call it made, and its number of ``np.linalg.eigvalsh``
+    calls."""
+    calls, eig = [], []
+    real_svd, real_eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
     def counting(a, *svd_args, **kwargs):
         full = kwargs.get("full_matrices", svd_args[0] if svd_args else True)
         uv = kwargs.get("compute_uv", svd_args[1] if len(svd_args) > 1 else True)
         calls.append(bool(full and uv))
-        return real(a, *svd_args, **kwargs)
+        return real_svd(a, *svd_args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "svd", counting)
+        mp.setattr(np.linalg, "eigvalsh",
+                   lambda *a, **k: eig.append(1) or real_eigvalsh(*a, **k))
         call(*args)
-    return calls
+    return calls, len(eig)
+
+
+def costs(call, *args):
+    """``(SVDs, eigvalsh calls)`` of ``call(*args)``."""
+    calls, eig = svd_calls(call, *args)
+    return len(calls), eig
 
 
 def repeated_svds(call, *args):
     """Run ``call(*args)``; the SVDs it ran more than once on the same matrix
-    with the same ``compute_uv``, with their repeat counts."""
+    with the same ``compute_uv``, and the ``eigvalsh`` calls it ran more than
+    once on the same matrix, with their repeat counts."""
     seen = Counter()
-    real = np.linalg.svd
+    real_svd, real_eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+    def record(a, kind):
+        m = np.ascontiguousarray(a)
+        seen[(hashlib.sha256(m.tobytes()).hexdigest(), m.shape, m.dtype.str, kind)] += 1
 
     def recording(a, *svd_args, **kwargs):
         uv = kwargs.get("compute_uv", svd_args[1] if len(svd_args) > 1 else True)
-        m = np.ascontiguousarray(a)
-        seen[(hashlib.sha256(m.tobytes()).hexdigest(), m.shape, m.dtype.str, bool(uv))] += 1
-        return real(a, *svd_args, **kwargs)
+        record(a, "svd" if uv else "svd values")
+        return real_svd(a, *svd_args, **kwargs)
+
+    def recording_eigvalsh(a, *eig_args, **kwargs):
+        record(a, "eigvalsh")
+        return real_eigvalsh(a, *eig_args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "svd", recording)
+        mp.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         call(*args)
     return {key[1:]: n for key, n in seen.items() if n > 1}
 
@@ -96,44 +119,45 @@ def _stewart_pair(rows, cols, rank, seed=3):
 STEWART_SHAPES = [(160, 120, 90), (140, 140, 100)]
 
 
+# the SVDs are the factorizations; each norm is one eigvalsh
 @pytest.mark.parametrize("shape", STEWART_SHAPES)
 @pytest.mark.parametrize("call, count", [
-    # T, |T'S|, |ST'|, |S| and the four spectral residuals of the report
-    (check_stewart_hypotheses, 8),
-    # T, T+S, |T'S|, |ST'|, |S| and the oracle discrepancy
-    (update_stewart, 6),
-    # T, T+S, |T'S| and |S|
-    (gamma_continuity_bound, 4),
-    # T, |T'S| and |S|
-    (error_bound_stewart, 3),
+    # T; |T'S|, |ST'|, |S| and the four spectral residuals of the report
+    (check_stewart_hypotheses, (1, 7)),
+    # T, T+S; |T'S|, |ST'|, |S| and the oracle discrepancy
+    (update_stewart, (2, 4)),
+    # T, T+S; |T'S| and |S|
+    (gamma_continuity_bound, (2, 2)),
+    # T; |T'S| and |S|
+    (error_bound_stewart, (1, 2)),
 ])
 def test_stewart_routes(shape, call, count):
-    calls = svd_calls(call, *_stewart_pair(*shape))
-    assert len(calls) == count
+    calls, eig = svd_calls(call, *_stewart_pair(*shape))
+    assert (len(calls), eig) == count
     assert not any(calls)
 
 
 def test_pseudoinverse_is_one_economy_svd_when_tall():
-    assert svd_calls(pseudoinverse, _operator(160, 120, 90, 3)) == [False]
+    assert svd_calls(pseudoinverse, _operator(160, 120, 90, 3)) == ([False], 0)
 
 
 def test_wide_pseudoinverse_keeps_full_v_for_the_null_basis():
     t = _operator(120, 160, 90, 3)
-    assert svd_calls(pseudoinverse, t) == [True]
+    assert svd_calls(pseudoinverse, t) == ([True], 0)
     pr = pseudoinverse(t)
     assert pr.null_basis.shape == (160, 70)
     assert pr.v.shape == (160, 120)
 
 
 @pytest.mark.parametrize("case, shape, count", [
-    # T, T+S, |(T+S)' - T'| and the case's norm: |T'S|, |ST'| or |S|
-    ("injective", (160, 120, 120), 4),
-    ("surjective", (120, 160, 120), 4),
-    ("general", (140, 140, 100), 4),
+    # T, T+S; |(T+S)' - T'| and the case's norm: |T'S|, |ST'| or |S|
+    ("injective", (160, 120, 120), (2, 2)),
+    ("surjective", (120, 160, 120), (2, 2)),
+    ("general", (140, 140, 100), (2, 2)),
 ])
 def test_ding_huang_cases(case, shape, count):
-    calls = svd_calls(norm_bounds_ding_huang, *_stewart_pair(*shape), case)
-    assert len(calls) == count
+    calls, eig = svd_calls(norm_bounds_ding_huang, *_stewart_pair(*shape), case)
+    assert (len(calls), eig) == count
     # only the factorizations of a wide T and T+S keep a full V
     assert sum(calls) == (2 if shape[0] < shape[1] else 0)
 
@@ -148,38 +172,40 @@ def _neumann_target(t):
 
 
 def test_relative_update():
-    # T, T+S, S, ST', |T'S| and the oracle discrepancy; |ST'| < 1 proves
-    # I + ST' nonsingular, so the solve takes no SVD
-    assert len(svd_calls(update_relative_surjective, *_relative_pair(), 0.5, 0.0)) == 6
+    # T, T+S; |ST'|, |S|, |T'S| and the oracle discrepancy. The certificate
+    # decides the bound, so the sampler's SVDs of S and ST' are not taken;
+    # |ST'| < 1 proves I + ST' nonsingular, so the solve takes no SVD
+    assert costs(update_relative_surjective, *_relative_pair(), 0.5, 0.0) == (2, 4)
 
 
 def test_relative_bound_check():
-    assert len(svd_calls(check_relative_bound, *_relative_pair(), 0.5, 0.0)) == 4
+    # T, S, T+S and ST' for the sampler's directions; |S| for its threshold
+    assert costs(check_relative_bound, *_relative_pair(), 0.5, 0.0) == (4, 1)
 
 
 def test_lambda2_zero_error_bound():
-    # T, |ST'|, the norm of (I + ST')^-1, and |S|
-    assert len(svd_calls(error_bound_lambda2_zero, *_relative_pair())) == 4
+    # T; |ST'|, the norm of (I + ST')^-1, and |S|
+    assert costs(error_bound_lambda2_zero, *_relative_pair()) == (1, 3)
 
 
 def test_reverse_order_law():
     f, g = _operator(160, 60, 60, 3), _operator(60, 140, 60, 4)
-    # F, G, FG, the two Gram singularity checks and the three discrepancies
-    assert len(svd_calls(reverse_order_pinv, f, g)) == 8
+    # F, G, FG and the two Gram singularity checks; the three discrepancies
+    assert costs(reverse_order_pinv, f, g) == (5, 3)
 
 
 @pytest.mark.parametrize("rho", [0.005, 0.5, 0.76])
 def test_neumann_svds_do_not_grow_with_the_order(rho):
-    # T, (S-T)T', the oracle S and the last term's norm at any order;
-    # at rho 0.76 the stopping rule also measures one term whose bounds
-    # straddle eps_series
+    # T and the oracle S; the ratio |(S-T)T'| and the last term's norm at
+    # any order; at rho 0.76 the stopping rule also measures one term whose
+    # bounds straddle eps_series
     rng = np.random.default_rng(1)
     t = _operator(60, 90, 60, 7)
     s = t + rho * (haar_unitary(60, rng) @ t)
     res = neumann_pinv(t, s)
     assert res.converged
     assert res.terms_used == {0.005: 6, 0.5: 40, 0.76: 101}[rho]
-    assert len(svd_calls(neumann_pinv, t, s)) == {0.005: 4, 0.5: 4, 0.76: 5}[rho]
+    assert costs(neumann_pinv, t, s) == (2, {0.005: 2, 0.5: 2, 0.76: 3}[rho])
 
 
 def test_bounds_command_factors_t_and_t_plus_s_once(tmp_path, capsys):
@@ -189,9 +215,9 @@ def test_bounds_command_factors_t_and_t_plus_s_once(tmp_path, capsys):
     paths = [str(tmp_path / "t.mtx"), str(tmp_path / "s.mtx")]
     for m, path in zip(_stewart_pair(180, 180, 150), paths):
         write_matrix(m, path)
-    # T, T+S, |(T+S)' - T'|, |T'S| and |S|; |(T+S)'| is read as 1 / gamma(T+S)
-    calls = svd_calls(cli_dispatch, ["--json", "bounds", *paths])
-    assert len(calls) == 5
+    # T, T+S; |(T+S)' - T'|, |T'S| and |S|; |(T+S)'| is read as 1 / gamma(T+S)
+    calls, eig = svd_calls(cli_dispatch, ["--json", "bounds", *paths])
+    assert (len(calls), eig) == (2, 3)
     assert not any(calls)
     verdicts = capsys.readouterr().out
     assert verdicts.count('"applicable": true') == 3
@@ -203,8 +229,10 @@ def test_verification_run():
     # null bases and bounds from factorizations they already have, and the
     # Stewart trial reads gamma(T) from its factorization; inclusions,
     # orthonormality, mat_close and the Neumann stopping rule are decided
-    # from bounds, and no solve of I + X with |X| < 1 checks singularity
-    assert len(svd_calls(run_verification, 20, 0)) == 1874
+    # from bounds, and no solve of I + X with |X| < 1 checks singularity;
+    # every norm is a Gram eigenvalue, and the relative and Neumann trials
+    # take no SVD of S or ST', which only the sampler reads
+    assert costs(run_verification, 20, 0) == (707, 1142)
 
 
 def test_gen_salpha_measures_gamma_once(tmp_path, capsys):
@@ -212,10 +240,9 @@ def test_gen_salpha_measures_gamma_once(tmp_path, capsys):
     t_path, s_path = str(tmp_path / "t.mtx"), str(tmp_path / "s.mtx")
     write_matrix(t, t_path)
     t = pinvperturb.read_matrix(t_path)
-    # gamma(T), and the Stewart verdict (T and |T'S|) with |S|; the solve for
+    # gamma(T) and T for the Stewart verdict; |T'S| and |S|; the solve for
     # the S_alpha direction needs no singularity check
-    calls = svd_calls(cli_dispatch, ["--json", "gen", "salpha", "-t", t_path, "-o", s_path])
-    assert len(calls) == 4
+    assert costs(cli_dispatch, ["--json", "gen", "salpha", "-t", t_path, "-o", s_path]) == (2, 2)
     assert json.loads(capsys.readouterr().out)["verdicts"]["alpha"] == reduced_min_modulus(t)
     want = str(tmp_path / "want.mtx")
     write_matrix(s_alpha(t, reduced_min_modulus(t)), want)
@@ -233,7 +260,7 @@ def test_neumann_rejects_its_parameters_before_any_svd(kwargs):
         with pytest.raises(ValueError):
             neumann_pinv(t, _neumann_target(t), **kwargs)
 
-    assert svd_calls(call) == []
+    assert svd_calls(call) == ([], 0)
 
 
 @pytest.mark.parametrize("flag", [
@@ -249,7 +276,7 @@ def test_cli_neumann_rejects_its_parameters_before_any_svd(tmp_path, capsys, fla
     calls = svd_calls(lambda: codes.append(cli_dispatch(
         ["update", *paths, "--method", "neumann", *flag])))
     assert codes == [2]
-    assert calls == []
+    assert calls == ([], 0)
     assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
 
 

@@ -122,6 +122,16 @@ def test_result_keys_and_order(observed, suite):
     assert result["passed"] is True
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"trials": 0}, "trials"), ({"trials": -3}, "trials"), ({"max_dim": 1}, "max_dim"),
+])
+def test_run_verification_refuses_invalid_sizes(monkeypatch, kwargs, name):
+    # refused with the argument's name before any suite runs
+    monkeypatch.setattr(verify, "suite_mp_axioms", None)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify.run_verification(**kwargs)
+
+
 def test_every_pinned_constant_gates_a_suite():
     pinned = {name for name, value in vars(verify).items()
               if name.isupper() and isinstance(value, float)}
