@@ -16,7 +16,7 @@ runs.
 
 from importlib import import_module as _import_module
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # home module -> the public names it defines
 _PUBLIC = {

@@ -158,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", dest="verify_seed", type=int, default=None,
                    help="override the master seed for this run")
     p.add_argument("--max-dim", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: trials run in order in one thread")
 
     return parser
 

@@ -29,10 +29,11 @@ through :meth:`_Pair.require` at the first that fails, with that name as
 the refusal's ``condition``. Every strict norm test goes through
 :meth:`_Pair.strict`, which applies ``margin_strict``.
 
-Every post-condition a route checks on its result is built and worded on
-the pair too: :meth:`_Pair.within` tests ``x <= bound + eq(scale)``, and
+Every post-condition a route checks on its result goes through the pair
+too: :meth:`_Pair.within` tests ``x <= bound + eq(scale)``, and
 :meth:`_Pair.confirm`, :meth:`_Pair.confirm_near` (two matrices at the scale
-of |T'|) and :meth:`_Pair.keeps_rank` raise :class:`InvariantViolation`.
+of |T'|) and :meth:`_Pair.keeps_rank` raise :class:`InvariantViolation`;
+the first three apply and word the one closeness test of ``linalg``.
 
 The surjective update decides the relative bound through
 :func:`_relative_bound`: when N(T) lies in N(S) an exact certificate from
@@ -46,14 +47,15 @@ solve on a Gram matrix; |S| and |ST'| are read only from ``norm_s`` and
 sampler alone, so their SVDs are taken only when it runs.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import HypothesisRefusal, InvariantViolation
-from .linalg import (SvdFactors, Tolerances, _norm_bounds, _norm_le, _norm_room, _pair,
-                     _room, _tol, spectral_norm, svd)
+from .linalg import (SvdFactors, Tolerances, _confirm, _confirm_near, _norm_bounds,
+                     _norm_room, _pair, _room, _tol, _within, spectral_norm, svd)
 from .pinv import PinvResult, _norm_pinv, pseudoinverse
 
 
@@ -244,27 +246,20 @@ class _Pair:
     def within(self, x: float, bound: float, scale: float | None = None) -> bool:
         """The post-condition ``x <= bound`` of a certified result, with the
         slack ``eq(scale)``; ``scale`` defaults to ``bound``."""
-        return x <= bound + self.tol.eq(bound if scale is None else scale)
+        return _within(x, bound, bound if scale is None else scale, self.tol)
 
     def confirm(self, route: str, what: str, x: float, bound: float,
                 scale: float | None = None) -> None:
         """Raise :class:`InvariantViolation` unless :meth:`within` holds:
         ``what``, measured as ``x``, exceeds the ``bound`` ``route`` certifies."""
-        if not self.within(x, bound, scale):
-            slack = self.tol.eq(bound if scale is None else scale)
-            raise InvariantViolation(f"{route}: {what} = {x:.6g} exceeds its certified bound"
-                                     f" {bound:.6g} by more than {slack:.3g}")
+        _confirm(route, what, x, bound, bound if scale is None else scale, self.tol)
 
-    def confirm_near(self, route: str, what: str, a, b, bound: float = 0.0) -> None:
+    def confirm_near(self, route: str, what: str, a, b, bound: float = 0.0) -> float | None:
         """:meth:`confirm` of ``|a - b| <= bound + eq(max(|a|, |T'|))``, where
-        ``what`` names |a - b|. Decided by :func:`_norm_le` with |T'| bounding
-        the scale below, so the norms are measured only when its bounds
-        cannot decide."""
-        norm_td = _norm_pinv(self.pr_t)
-        if not _norm_le(a - b, bound + self.tol.eq(norm_td),
-                        lambda: bound + self.tol.eq(max(spectral_norm(a), norm_td))):
-            self.confirm(route, what, spectral_norm(a - b), bound,
-                         max(spectral_norm(a), norm_td))
+        ``what`` names |a - b|; returns |a - b| when it was measured, else
+        None. Decided by :func:`_near` with |T'| bounding the scale below, so
+        the norms are measured only when its bounds cannot decide."""
+        return _confirm_near(route, what, a, b, self.tol, bound, _norm_pinv(self.pr_t))
 
     def keeps_rank(self, route: str, rank: int) -> None:
         """Raise :class:`InvariantViolation` unless T+S has the ``rank`` that
@@ -430,12 +425,17 @@ def _relative_slack(pair: _Pair, lambda1: float, lambda2: float,
     rand = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
     directions.append(_unit_columns(rand))
 
+    # (T, S) scaled by one power of two, exactly, so that the squares behind
+    # the column norms cannot overflow; the slack is homogeneous in (T, S)
+    big = max(float(np.abs(p).max()) for p in (mt.real, mt.imag, ms.real, ms.imag))
+    e = math.frexp(big)[1]
+    mt, ms = (np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e) for m in (mt, ms))
     x = np.concatenate(directions, axis=1)
     norm_t = np.linalg.norm(mt @ x, axis=0)
     norm_s = np.linalg.norm(ms @ x, axis=0)
     norm_sum = np.linalg.norm((mt + ms) @ x, axis=0)
     slack = lambda1 * norm_t + lambda2 * norm_sum - norm_s
-    worst = float(slack.min())
+    worst = math.ldexp(float(slack.min()), e)
     return worst >= -_relative_threshold(pair), worst
 
 

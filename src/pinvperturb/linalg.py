@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DecompositionError,
+    InvariantViolation,
     ShapeMismatchError,
     SingularMatrixError,
 )
@@ -282,43 +283,80 @@ def _norm_bounds(m: np.ndarray) -> tuple[float, float]:
     return math.sqrt(float(col.max())) * (1.0 - room), math.sqrt(total) * (1.0 + room)
 
 
-def _norm_le(a, thr: float, exact_thr=None) -> bool:
+def _norm_le(a, thr: float) -> bool:
     """``spectral_norm(a) <= thr``, decided from a certified bound when one can.
 
     The Frobenius bound of :func:`_norm_bounds` certifies True when it
     clears ``thr``, and the column bound certifies False when it exceeds
     ``thr``; only when neither decides is the spectral norm measured, so
-    the verdict is always the one the exact test gives. When ``exact_thr``
-    is given, ``thr`` is only a lower bound on the threshold: the bound then
-    certifies True alone, and the exact test compares the measured norm with
-    ``exact_thr()``.
+    the verdict is always the one the exact test gives.
     """
     m = np.asarray(a, dtype=np.complex128)
     lo, hi = _norm_bounds(m)
     if hi <= thr:
         return True
-    if exact_thr is not None:
-        return spectral_norm(m) <= exact_thr()
     return lo <= thr and spectral_norm(m) <= thr
+
+
+def _within(x: float, bound: float, scale: float, tol: Tolerances) -> bool:
+    """The post-condition ``x <= bound + eq(scale)`` that every closeness
+    and certified-bound check applies."""
+    return x <= bound + tol.eq(scale)
+
+
+def _near(a, b, tol: Tolerances, bound: float = 0.0, norm_b: float | None = None):
+    """Whether ``|a - b| <= bound + eq(max(|a|, |b|))``, as ``(verdict,
+    |a - b|, scale)``; the norm and the scale are None when not measured.
+
+    ``norm_b`` stands in for ``|b|`` when the caller knows the scale it
+    wants; it is then the lower bound on the scale, and otherwise the
+    larger column norm of ``a`` and ``b`` is. A difference whose Frobenius
+    bound clears the slack at that lower bound is close without a measured
+    norm; otherwise ``|a - b|`` and the scale are measured and decide, as
+    the exact test does.
+    """
+    ma = np.asarray(a, dtype=np.complex128)
+    mb = np.asarray(b, dtype=np.complex128)
+    diff = ma - mb
+    scale_lo = max(_norm_bounds(ma)[0], _norm_bounds(mb)[0]) if norm_b is None else norm_b
+    if _within(_norm_bounds(diff)[1], bound, scale_lo, tol):
+        return True, None, None
+    x = spectral_norm(diff)
+    scale = max(spectral_norm(ma), spectral_norm(mb) if norm_b is None else norm_b)
+    return _within(x, bound, scale, tol), x, scale
+
+
+def _confirm(route: str, what: str, x: float, bound: float, scale: float,
+             tol: Tolerances) -> None:
+    """Raise :class:`InvariantViolation` unless :func:`_within` holds:
+    ``what``, measured as ``x``, exceeds the ``bound`` ``route`` certifies."""
+    if not _within(x, bound, scale, tol):
+        raise InvariantViolation(f"{route}: {what} = {x:.6g} exceeds its certified bound"
+                                 f" {bound:.6g} by more than {tol.eq(scale):.3g}")
+
+
+def _confirm_near(route: str, what: str, a, b, tol: Tolerances, bound: float = 0.0,
+                  norm_b: float | None = None) -> float | None:
+    """:func:`_confirm` of the :func:`_near` test of ``|a - b|``, which
+    ``what`` names; returns ``|a - b|`` when it was measured, else None."""
+    ok, x, scale = _near(a, b, tol, bound, norm_b)
+    if not ok:
+        _confirm(route, what, x, bound, scale, tol)
+    return x
 
 
 def mat_close(a, b, tol: Tolerances | None = None) -> bool:
     """Spectral-norm equality test: ``|a - b| <= eq_abs + eq_rel * max(|a|, |b|)``.
 
-    Decided by :func:`_norm_le`: the scale ``max(|a|, |b|)`` is bounded
-    below by the larger column norm of ``a`` and ``b``, so a difference
-    whose Frobenius norm clears ``eq`` of that bound is close without an
-    SVD. Otherwise the three spectral norms are measured, as the exact test
+    Decided by :func:`_near`: the scale ``max(|a|, |b|)`` is bounded below
+    by the larger column norm of ``a`` and ``b``, so a difference whose
+    Frobenius norm clears ``eq`` of that bound is close without a measured
+    norm. Otherwise the three spectral norms are measured, as the exact test
     does.
     """
-    tol = _tol(tol)
-    ma = np.asarray(a, dtype=np.complex128)
-    mb = np.asarray(b, dtype=np.complex128)
-    if ma.shape != mb.shape:
+    if np.shape(a) != np.shape(b):
         return False
-    scale_lo = max(_norm_bounds(ma)[0], _norm_bounds(mb)[0])
-    return _norm_le(ma - mb, tol.eq(scale_lo),
-                    lambda: tol.eq(max(spectral_norm(ma), spectral_norm(mb))))
+    return _near(a, b, _tol(tol))[0]
 
 
 def solve_square(a, b, tol: Tolerances | None = None) -> np.ndarray:

@@ -12,15 +12,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .linalg import (
     Tolerances,
+    _confirm_near,
     _factor,
     _svd,
     _tol,
     adjoint,
     as_matrix,
-    mat_close,
     numerical_rank,
     spectral_norm,
 )
@@ -209,11 +209,7 @@ def mp_representation(t, tol: Tolerances | None = None) -> np.ndarray:
     direct = pseudoinverse(m, tol).pinv
     via_gram = pseudoinverse(ta @ m, tol).pinv @ ta
     via_cogram = ta @ pseudoinverse(m @ ta, tol).pinv
-    if not (mat_close(via_gram, direct, tol) and mat_close(via_cogram, direct, tol)):
-        raise InvariantViolation(
-            "pseudoinverse representations disagree"
-            f" (|gram-route - direct| = {spectral_norm(via_gram - direct):.3e},"
-            f" |cogram-route - direct| = {spectral_norm(via_cogram - direct):.3e});"
-            " numerical rank of the Gram products is inconsistent with the source"
-        )
+    for route, via in (("gram", via_gram), ("cogram", via_cogram)):
+        _confirm_near("pseudoinverse representation", f"‖{route} route - direct‖",
+                      via, direct, tol)
     return via_gram

@@ -1,10 +1,11 @@
 """Structured run reports and their lossless JSON serialization.
 
-Floats are rendered with 17 significant digits (%.17g), which is enough to
-round-trip any binary64 value exactly. The emitter is hand-rolled because
-the stdlib encoder offers no hook for float formatting; output is plain
-JSON (objects, arrays, strings, numbers, booleans, null) with insertion
-key order, so identical reports serialize identically.
+A report is rendered by the stdlib encoder with insertion key order, so
+identical reports serialize identically. Floats are written in their
+shortest round-trip form (Python's ``repr``), which reads back as the same
+binary64 value; a NaN or an infinity is refused with ``ValueError``. numpy
+booleans and integers are written as their Python values, and any other
+type the encoder does not know is refused with ``TypeError``.
 """
 
 import json
@@ -28,46 +29,13 @@ class Report:
     tolerances_used: dict = field(default_factory=dict)
 
 
-def _emit(obj, pieces, indent, level):
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
-    if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not np.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value!r}")
-        pieces.append(format(value, ".17g"))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for k, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {type(key).__name__}")
-            pieces.append(f"{pad}{json.dumps(key)}: ")
-            _emit(value, pieces, indent, level + 1)
-            pieces.append(",\n" if k < len(obj) - 1 else "\n")
-        pieces.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for k, value in enumerate(obj):
-            pieces.append(pad)
-            _emit(value, pieces, indent, level + 1)
-            pieces.append(",\n" if k < len(obj) - 1 else "\n")
-        pieces.append(close_pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+def _plain(obj):
+    """The Python value of a numpy boolean or integer in a report."""
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
 def serialize_report(report: Report, indent: int = 2) -> str:
@@ -79,9 +47,7 @@ def serialize_report(report: Report, indent: int = 2) -> str:
         "timings": report.timings,
         "tolerances_used": report.tolerances_used,
     }
-    pieces = []
-    _emit(payload, pieces, indent, 0)
-    return "".join(pieces)
+    return json.dumps(payload, indent=indent, allow_nan=False, default=_plain)
 
 
 def parse_report(text: str) -> Report:

@@ -19,10 +19,10 @@ from .errors import (
 )
 from .linalg import (
     Tolerances,
+    _confirm_near,
     _tol,
     adjoint,
     as_matrix,
-    mat_close,
     numerical_rank,
     singular_values,
     solve_from_right,
@@ -89,16 +89,8 @@ def reverse_order_pinv(f, g, tol: Tolerances | None = None) -> FactoredPinv:
         ) from exc
     closed = right_factor @ left_factor
 
-    if not mat_close(oracle @ mf, right_factor, tol):
-        raise InvariantViolation(
-            "identity A†F = G*(GG*)⁻¹ failed:"
-            f" residual {spectral_norm(oracle @ mf - right_factor):.3e}"
-        )
-    if not mat_close(mg @ oracle, left_factor, tol):
-        raise InvariantViolation(
-            "identity GA† = (F*F)⁻¹F* failed:"
-            f" residual {spectral_norm(mg @ oracle - left_factor):.3e}"
-        )
+    _confirm_near("reverse-order law", "‖A†F - G*(GG*)⁻¹‖", oracle @ mf, right_factor, tol)
+    _confirm_near("reverse-order law", "‖GA† - (F*F)⁻¹F*‖", mg @ oracle, left_factor, tol)
 
     disc = max(
         spectral_norm(oracle - reverse),

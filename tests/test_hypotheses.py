@@ -26,6 +26,7 @@ from pinvperturb.generators import (
     adversarial_pair,
     random_contraction,
     random_operator,
+    random_relative_perturbation,
     s_alpha,
 )
 from pinvperturb.hypotheses import _Pair
@@ -195,6 +196,19 @@ class TestRelativeBound:
         _, w2 = check_relative_bound(t, s, 0.4, 0.1, samples=500, seed=3)
         assert w1 == w2
 
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    def test_sampled_slack_is_finite_at_large_scale(self, scale):
+        # the squares behind |Tx| overflow unless (T, S) is scaled first
+        t = random_operator(GenSpec(rows=6, cols=9, rank=6, gamma_target=0.5,
+                                    norm_target=2.0, seed=3))
+        s = random_relative_perturbation(t, 0.5, 1)
+        ok, worst = check_relative_bound(scale * t, scale * s, 0.5, 0.0)
+        assert ok and np.isfinite(worst)
+        ok, worst = check_relative_bound(scale * t, scale * s, 0.1, 0.0)
+        assert not ok and np.isfinite(worst) and worst < 0.0
+        # no Frobenius bound certifies at these scales, so the update samples
+        assert pinvperturb.update_relative_surjective(scale * t, scale * s, 0.5, 0.0)
+
 
 # The absolute floor eq_abs = 1e-10 in Tolerances.eq swallows the violating
 # residual once the pair is scaled far enough down; a fix must remove the
@@ -213,16 +227,16 @@ class TestScaleInvariance:
         assert not check_stewart_hypotheses(scale * t, scale * s).verdict_stewart
 
 
-def _refusal_sites(exception="HypothesisRefusal"):
-    """``(module, enclosing function, condition)`` of every ``exception(...)``
-    in the package; the condition is None when it is not a literal."""
+def _call_sites(is_site):
+    """``(module, enclosing function, condition)`` of every call in the
+    package whose callee ``is_site`` accepts; the condition is None when it
+    is not a literal ``condition=`` keyword."""
     sites = Counter()
 
     def visit(node, module, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == exception):
+        if isinstance(node, ast.Call) and is_site(node.func):
             condition = next((kw.value.value for kw in node.keywords
                               if kw.arg == "condition" and isinstance(kw.value, ast.Constant)),
                              None)
@@ -233,6 +247,11 @@ def _refusal_sites(exception="HypothesisRefusal"):
     for path in sorted(Path(pinvperturb.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     return sites
+
+
+def _refusal_sites(exception="HypothesisRefusal"):
+    """The :func:`_call_sites` that construct ``exception``."""
+    return _call_sites(lambda f: isinstance(f, ast.Name) and f.id == exception)
 
 
 def test_refusals_are_built_only_where_no_shared_condition_applies():
@@ -251,19 +270,31 @@ def test_refusals_are_built_only_where_no_shared_condition_applies():
 
 
 def test_post_conditions_are_worded_only_on_the_pair():
-    # every certified bound and rank a route checks on its result raises
-    # through _Pair.confirm, confirm_near or keeps_rank; perturb keeps only
-    # the checks no other route shares
+    # every closeness and certified-bound check raises through
+    # linalg._confirm; the other sites state a failure of their own: the
+    # inclusion routes disagreeing, a rank, a singular solve and a Neumann order
     assert _refusal_sites("InvariantViolation") == Counter({
         ("hypotheses", "_exact", None): 1,
-        ("hypotheses", "confirm", None): 1,
         ("hypotheses", "keeps_rank", None): 1,
-        ("perturb", "update_stewart", None): 1,
+        ("linalg", "_confirm", None): 1,
         ("perturb", "update_relative_surjective", None): 1,
         ("perturb", "_replay_orders", None): 1,
-        ("pinv", "mp_representation", None): 1,
-        ("generators", "commute_identity_check", None): 1,
-        ("reverse_order", "reverse_order_pinv", None): 3,
+        ("reverse_order", "reverse_order_pinv", None): 1,
+    })
+
+
+def test_equality_slacks_are_built_at_known_sites():
+    # each call of Tolerances.eq, by function: a new hand-built slack shows
+    # up here, and a change of the slack's scale has this list to change
+    assert _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "eq") == Counter({
+        ("linalg", "_within", None): 1,
+        ("linalg", "_confirm", None): 1,
+        ("linalg", "_check_orthonormal", None): 1,
+        ("hypotheses", "_exact", None): 1,
+        ("hypotheses", "_bounded", None): 1,
+        ("hypotheses", "_relative_threshold", None): 1,
+        ("pinv", "_axioms", None): 4,
+        ("cli", "_cmd_rol", None): 2,
     })
 
 

@@ -137,6 +137,15 @@ def test_stewart_routes(shape, call, count):
     assert not any(calls)
 
 
+def test_stewart_update_measures_the_oracle_discrepancy_once():
+    # at 1e200 no Frobenius bound decides, since its sums of squares
+    # overflow: |T'S|, |ST'|, |S|, the four inclusion residuals, the
+    # left/right check (three norms), the recovery identity and the oracle
+    # check (two each), whose |result - oracle| is the reported discrepancy
+    t, s = _stewart_pair(8, 6, 4)
+    assert costs(update_stewart, 1e200 * t, 1e200 * s) == (2, 14)
+
+
 def test_pseudoinverse_is_one_economy_svd_when_tall():
     assert svd_calls(pseudoinverse, _operator(160, 120, 90, 3)) == ([False], 0)
 
