@@ -3,7 +3,8 @@
 Subcommands mirror the library surface: ``pinv``, ``check``, ``update``,
 ``bounds``, ``rol``, ``gen``, and ``verify``. Every run prints a structured
 report (JSON under ``--json``) and exits 0 on success, 1 on a hypothesis
-refusal or verification failure, 2 on usage or I/O errors. Default
+refusal or verification failure, 2 on usage or I/O errors and on a
+decomposition that does not converge (``DecompositionError``). Default
 tolerances can be overridden by flags or by PINVPERTURB_TOL_ABS,
 PINVPERTURB_TOL_REL, PINVPERTURB_RANK_REL, PINVPERTURB_MARGIN.
 """
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import mmio
 from .errors import (
+    DecompositionError,
     HypothesisRefusal,
     InvariantViolation,
     MatrixMarketError,
@@ -439,7 +441,7 @@ def cli_dispatch(argv=None) -> int:
         report, code = _COMMANDS[args.command](args, tol, files)
     except (HypothesisRefusal, SingularMatrixError, InvariantViolation) as exc:
         return _emit_error(args, exc, 1)
-    except (MatrixMarketError, OSError, ValueError) as exc:
+    except (MatrixMarketError, OSError, ValueError, DecompositionError) as exc:
         return _emit_error(args, exc, 2)
 
     report.timings["total_ms"] = (time.perf_counter() - start) * 1e3

@@ -53,9 +53,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisRefusal, InvariantViolation
+from .errors import HypothesisRefusal, InvariantViolation, SingularMatrixError
 from .linalg import (SvdFactors, Tolerances, _confirm, _confirm_near, _norm_bounds,
-                     _norm_room, _pair, _room, _tol, _within, spectral_norm, svd)
+                     _norm_room, _pair, _room, _solve_shifted, _tol, _within, spectral_norm, svd)
 from .pinv import PinvResult, _norm_pinv, pseudoinverse
 
 
@@ -147,6 +147,16 @@ class _Pair:
         """Right singular vectors of T+S: from ``pr_sum`` when a route has
         factored T+S as its oracle, else from one economy SVD."""
         return self.pr_sum.v if "pr_sum" in self.__dict__ else svd(self.mt + self.ms).v
+
+    @cached_property
+    def closed_form(self) -> np.ndarray:
+        """T'(I + ST')^-1, which is (T+S)' where the theorems hold (Stewart
+        1977); a singular I + ST' is an :class:`InvariantViolation`."""
+        try:
+            return _solve_shifted(np.eye(self.mt.shape[0], dtype=np.complex128) + self.std,
+                                  self.pr_t.pinv, self.norm_std, self.tol, right=True)
+        except SingularMatrixError as exc:
+            raise InvariantViolation(f"(I + ST†) is numerically singular: {exc}") from exc
 
     @cached_property
     def norm_pinv_diff(self) -> float:
@@ -414,9 +424,15 @@ def _relative_slack(pair: _Pair, lambda1: float, lambda2: float,
     S T' (``f_std``).
     """
     prt, fs = pair.pr_t, pair.f_s
-    mt, ms = pair.mt, pair.ms
+    # (T, S) scaled by one power of two, exactly, so that the squares behind
+    # the column norms cannot overflow (the slack is homogeneous in (T, S)),
+    # and the directions T'v pulled back through 2^e T', the scaled T's pinv
+    big = max(float(np.abs(p).max()) for m in (pair.mt, pair.ms) for p in (m.real, m.imag))
+    e = math.frexp(big)[1]
+    mt, ms, td = (np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
+                  for m, k in ((pair.mt, -e), (pair.ms, -e), (prt.pinv, e)))
     directions = [prt.v, prt.null_basis, fs.v, pair.v_sum]
-    pulled = _unit_columns(prt.pinv @ pair.f_std.v)
+    pulled = _unit_columns(td @ pair.f_std.v)
     if pulled.shape[1]:
         directions.append(pulled)
 
@@ -425,11 +441,6 @@ def _relative_slack(pair: _Pair, lambda1: float, lambda2: float,
     rand = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
     directions.append(_unit_columns(rand))
 
-    # (T, S) scaled by one power of two, exactly, so that the squares behind
-    # the column norms cannot overflow; the slack is homogeneous in (T, S)
-    big = max(float(np.abs(p).max()) for p in (mt.real, mt.imag, ms.real, ms.imag))
-    e = math.frexp(big)[1]
-    mt, ms = (np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e) for m in (mt, ms))
     x = np.concatenate(directions, axis=1)
     norm_t = np.linalg.norm(mt @ x, axis=0)
     norm_s = np.linalg.norm(ms @ x, axis=0)

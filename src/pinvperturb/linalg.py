@@ -220,7 +220,11 @@ def spectral_norm(a) -> float:
     e = math.frexp(big)[1]
     x = np.ldexp(parts, -e).view(np.complex128)
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
-    root = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
+    try:
+        root = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(
+            f"Gram eigenvalue solve failed to converge for shape {m.shape}: {exc}") from exc
     try:
         return math.ldexp(root, e)
     except OverflowError:

@@ -17,12 +17,13 @@ relative bound of :func:`update_relative_surjective` and the ratio of
 :func:`neumann_pinv`.
 
 Each route reads (T, S) through one ``hypotheses._Pair``, which measures
-every quantity of the pair once. A bound function builds the pair and hands
-it to its private helper (:func:`_error_bound_stewart`,
-:func:`_error_bound_lambda2_zero`, :func:`_gamma_continuity`,
-:func:`_ding_huang`), which takes only the pair and its own route
-parameters; a caller that runs several bounds on one pair, like ``bounds``
-or the gamma-continuity sequences of ``verify``, builds one pair for all.
+every quantity of the pair once. Every update and bound function but
+:func:`neumann_pinv` builds the pair and hands it to its private helper
+(``_update_stewart``, ``_update_relative``, ``_error_bound_stewart``, ...),
+which takes only the pair and its own route parameters, so a caller that
+runs several routes on one pair, like ``bounds`` or ``verify``, builds one
+pair for all. Both updates end in :func:`_updated`, and the closed form
+T'(I + ST')^-1 is solved once, as ``_Pair.closed_form``.
 
 Every norm a route returns or compares is the pair's own reading
 (``norm_s``, ``norm_tds``, ``norm_std``) or a ``spectral_norm``, one
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisRefusal, InvariantViolation, SingularMatrixError
+from .errors import HypothesisRefusal, InvariantViolation
 from .hypotheses import _STEWART, _check_lambdas, _Pair, _relative_bound
 from .linalg import (
     _EPS,
@@ -127,34 +128,21 @@ def update_stewart(t, s, tol: Tolerances | None = None) -> UpdateResult:
     T' = (T+S)'(I + S T') is verified, and the returned left form must agree
     with the direct oracle; its distance from the oracle is reported.
     """
-    pair = _Pair(t, s, tol)
-    tol = pair.tol
+    return _update_stewart(_Pair(t, s, tol))
+
+
+def _update_stewart(pair: _Pair) -> UpdateResult:
+    """:func:`update_stewart` on ``pair``."""
     pair.require("Stewart update", *_STEWART)
     td = pair.pr_t.pinv
-    norm_td = _norm_pinv(pair.pr_t)
-    shift_cod = np.eye(pair.mt.shape[0], dtype=np.complex128) + pair.std
     left = _solve_shifted(np.eye(pair.mt.shape[1], dtype=np.complex128) + pair.tds, td,
-                          pair.norm_tds, tol)
-    right = _solve_shifted(shift_cod, td, pair.norm_std, tol, right=True)
-    _confirm_near("Stewart update", "‖(I + T†S)⁻¹T† - T†(I + ST†)⁻¹‖", left, right, tol)
-    pair.confirm_near("Stewart update", "‖(T+S)†(I + ST†) - T†‖", left @ shift_cod, td)
-    oracle = pair.pr_sum.pinv
-    discrepancy = pair.confirm_near("Stewart update", "‖(I + T†S)⁻¹T† - (T+S)†‖", left, oracle)
-
-    bound = pair.norm_s * norm_td**2 / (1.0 - pair.norm_tds)
-    return UpdateResult(
-        pinv_updated=left,
-        method="stewart_left",
-        bound_apriori=bound,
-        oracle_discrepancy=(spectral_norm(left - oracle) if discrepancy is None
-                            else discrepancy),
-        norms_used={
-            "norm_TdS": pair.norm_tds,
-            "norm_STd": pair.norm_std,
-            "norm_S": pair.norm_s,
-            "norm_Td": norm_td,
-        },
-    )
+                          pair.norm_tds, pair.tol)
+    _confirm_near("Stewart update", "‖(I + T†S)⁻¹T† - T†(I + ST†)⁻¹‖", left, pair.closed_form,
+                  pair.tol)
+    pair.confirm_near("Stewart update", "‖(T+S)†(I + ST†) - T†‖",
+                      left @ (np.eye(pair.mt.shape[0], dtype=np.complex128) + pair.std), td)
+    return _updated(pair, "Stewart update", "‖(I + T†S)⁻¹T† - (T+S)†‖", left, "stewart_left",
+                    _error_bound_stewart(pair))
 
 
 def update_relative_surjective(
@@ -168,59 +156,48 @@ def update_relative_surjective(
     otherwise (``hypotheses._relative_bound``). Asserts that T+S stays
     surjective, that
     |(T+S)'| <= (1 + lambda2) / (1 - lambda1) * |T'|, and that the result
-    agrees with the direct oracle.
+    agrees with the direct oracle. With lambda2 = 0 and |S T'| < 1 with the
+    strict margin, bound_apriori is the bound of :func:`error_bound_lambda2_zero`.
     """
-    pair = _Pair(t, s, tol)
+    return _update_relative(_Pair(t, s, tol), lambda1, lambda2)
+
+
+def _update_relative(pair: _Pair, lambda1: float, lambda2: float) -> UpdateResult:
+    """:func:`update_relative_surjective` on ``pair``."""
     pair.require("relative update", "surjective")
-    tol, prt = pair.tol, pair.pr_t
-    rows = pair.mt.shape[0]
     _check_lambdas(lambda1, lambda2)
-    td = prt.pinv
     # factored before the relative bound, whose sampler then reads its right vectors
     oracle_res = pair.pr_sum
     ok, worst = _relative_bound(pair, lambda1, lambda2)
     if not ok:
-        raise HypothesisRefusal(
-            "relative update refused: bound"
-            " ‖Sx‖ ≤ λ₁‖Tx‖ +"
-            " λ₂‖(T+S)x‖ fails"
-            f" (worst slack {worst:.3e})",
-            condition="relative_bound",
-        )
+        raise HypothesisRefusal("relative update refused: bound ‖Sx‖ ≤ λ₁‖Tx‖ + λ₂‖(T+S)x‖"
+                                f" fails (worst slack {worst:.3e})", condition="relative_bound")
 
-    norm_td = _norm_pinv(prt)
-    norm_std = pair.norm_std
-    try:
-        updated = _solve_shifted(np.eye(rows, dtype=np.complex128) + pair.std, td,
-                                 norm_std, tol, right=True)
-    except SingularMatrixError as exc:
-        raise InvariantViolation(
-            "(I + ST†) is numerically singular although the relative bound holds:"
-            f" {exc}"
-        ) from exc
-
-    pair.keeps_rank("relative update", rows)
+    updated = pair.closed_form
+    pair.keeps_rank("relative update", pair.mt.shape[0])
     pair.confirm("relative update", "‖(T+S)†‖", _norm_pinv(oracle_res),
-                 (1.0 + lambda2) / (1.0 - lambda1) * norm_td)
-    discrepancy = pair.confirm_near("relative update", "‖T†(I + ST†)⁻¹ - (T+S)†‖",
-                                    updated, oracle_res.pinv)
+                 (1.0 + lambda2) / (1.0 - lambda1) * _norm_pinv(pair.pr_t))
+    norm_std = pair.norm_std
+    bound = _apriori_bound(pair, norm_std) if lambda2 == 0.0 and pair.strict(norm_std) else None
+    return _updated(pair, "relative update", "‖T†(I + ST†)⁻¹ - (T+S)†‖", updated,
+                    "relative_surjective", bound)
 
-    norm_s = pair.norm_s
-    bound = None
-    if lambda2 == 0.0 and norm_std < 1.0:
-        bound = norm_td**2 * norm_s / (1.0 - norm_std)
+
+def _updated(pair: _Pair, route: str, what: str, updated: np.ndarray, method: str,
+             bound: float | None) -> UpdateResult:
+    """The :class:`UpdateResult` of an update route, once ``updated`` is
+    confirmed against the oracle ``(T+S)'``; ``what`` names their distance,
+    which is measured here only when the check decided without it."""
+    oracle = pair.pr_sum.pinv
+    discrepancy = pair.confirm_near(route, what, updated, oracle)
     return UpdateResult(
         pinv_updated=updated,
-        method="relative_surjective",
+        method=method,
         bound_apriori=bound,
-        oracle_discrepancy=(spectral_norm(updated - oracle_res.pinv) if discrepancy is None
+        oracle_discrepancy=(spectral_norm(updated - oracle) if discrepancy is None
                             else discrepancy),
-        norms_used={
-            "norm_TdS": pair.norm_tds,
-            "norm_STd": norm_std,
-            "norm_S": norm_s,
-            "norm_Td": norm_td,
-        },
+        norms_used={"norm_TdS": pair.norm_tds, "norm_STd": pair.norm_std,
+                    "norm_S": pair.norm_s, "norm_Td": _norm_pinv(pair.pr_t)},
     )
 
 
@@ -322,10 +299,8 @@ def neumann_pinv(
             _replay_orders(pair, oracle, certified, tail)
 
     residual_bound = tail(terms_used)
-    closed = _solve_shifted(np.eye(rows, dtype=np.complex128) + step, td, ratio, tol,
-                            right=True)
-    pair.confirm_near("Neumann inversion", "‖series - T†(I+(S-T)T†)⁻¹‖", total, closed,
-                      residual_bound)
+    pair.confirm_near("Neumann inversion", "‖series - T†(I+(S-T)T†)⁻¹‖", total,
+                      pair.closed_form, residual_bound)
     return NeumannResult(
         pinv_s=total,
         terms_used=terms_used,
@@ -409,7 +384,7 @@ def error_bound_stewart(t, s, tol: Tolerances | None = None) -> float:
 def _error_bound_stewart(pair: _Pair) -> float:
     """:func:`error_bound_stewart` on ``pair``."""
     pair.require("error bound", *_STEWART)
-    return pair.norm_s * _norm_pinv(pair.pr_t) ** 2 / (1.0 - pair.norm_tds)
+    return _apriori_bound(pair, pair.norm_tds)
 
 
 def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
@@ -430,7 +405,15 @@ def _error_bound_lambda2_zero(pair: _Pair) -> float:
     # sqrt(rows), and it decided this test on 3 of 15 measured pairs
     inv = _solve_shifted(eye_cod + pair.std, eye_cod, norm_std, pair.tol)
     pair.confirm("error bound", "‖(I+ST†)⁻¹‖", spectral_norm(inv), 1.0 / (1.0 - norm_std))
-    return _norm_pinv(pair.pr_t) ** 2 * pair.norm_s / (1.0 - norm_std)
+    return _apriori_bound(pair, norm_std)
+
+
+def _apriori_bound(pair: _Pair, x: float) -> float:
+    """The a-priori bound |S| |T'|^2 / (1 - x) on |(T+S)' - T'|, x = |T'S| or
+    |ST'|; |S| |T'| is formed first, so no step over- or underflows at a
+    scale of (T, S) where the bound is a normal float."""
+    norm_td = _norm_pinv(pair.pr_t)
+    return (pair.norm_s * norm_td) * norm_td / (1.0 - x)
 
 
 def gamma_continuity_bound(t, s, tol: Tolerances | None = None) -> tuple[float, float]:

@@ -6,16 +6,20 @@ SVD oracle, and aggregates worst-case deviations. Trials are seeded
 individually from the master seed and run in order in one thread, so results
 are identical across runs.
 
-A trial factors each operator once. Where it runs several routes on one
-pair it reads them from one ``hypotheses._Pair``: the Stewart trial reads
-T+S, its null bases and |(T+S)' - T'| from its pair, its bound and |ST'|
-from the update, and checks its S_alpha step against gamma(T) of its
-factorization of T; the relative trial calls ``perturb._error_bound_lambda2_zero`` on
-its pair; a gamma-continuity sequence factors T once, solves for the
-S_alpha direction T (I + T*T)^-1 once (``generators._s_alpha_direction``)
-and runs ``perturb._gamma_continuity`` on one pair per step, each built on
-that factorization of T. Each value equals, bit for bit, what the public
-route would return.
+A trial runs its routes on one ``hypotheses._Pair`` and reads what it
+checks from that pair: the update trials call the pair helpers
+``perturb._update_stewart`` and ``_update_relative``; the Stewart trial
+reads T+S, its null bases, |(T+S)' - T'| and the closed form T'(I + ST')^-1
+from its pair, and checks its S_alpha step against gamma(T) of its
+factorization of T; the relative trial calls ``_error_bound_lambda2_zero``
+on its pair; a gamma-continuity sequence factors T once, solves for the
+S_alpha direction once (``generators._s_alpha_direction``) and runs
+``_gamma_continuity`` on one pair per step, each built on that
+factorization of T. The axiom trial hands the |T'| it measured to
+``pinv._axioms``. An operator is factored twice only where a route factors
+it as its own oracle or input: S of the Neumann trial, F and FG of the
+reverse-order trial, and T when S = 0. Each value equals, bit for bit, what
+the public route would return.
 
 The pinned thresholds below are the acceptance contract; they are fixed
 here, not derived from the configurable Tolerances.
@@ -36,7 +40,6 @@ from .generators import (
 from .hypotheses import _Pair
 from .linalg import (
     Tolerances,
-    _solve_shifted,
     _tol,
     adjoint,
     orthonormal_range_basis,
@@ -46,11 +49,11 @@ from .linalg import (
 from .perturb import (
     _error_bound_lambda2_zero,
     _gamma_continuity,
+    _update_relative,
+    _update_stewart,
     neumann_pinv,
-    update_relative_surjective,
-    update_stewart,
 )
-from .pinv import pseudoinverse, reduced_min_modulus, verify_mp_axioms
+from .pinv import _axioms, pseudoinverse, reduced_min_modulus
 from .reverse_order import check_rol_hypotheses, reverse_order_pinv
 
 AXIOM_REL = 1e-9
@@ -136,7 +139,7 @@ def suite_mp_axioms(trials, max_dim, seed, tol: Tolerances | None = None):
         # measured, not read as 1 / gamma: worst_gamma_identity_dev tests |T'| gamma = 1
         norm_td = spectral_norm(pr.pinv)
         scale = max(1.0, norm_t, norm_td)
-        ax = verify_mp_axioms(t, pr.pinv, tol)
+        ax = _axioms(t, pr.pinv, norm_td, tol)
         worst_axiom = max(
             ax.residual_tTt, ax.residual_tdTtd, ax.residual_sym1, ax.residual_sym2
         ) / scale
@@ -190,17 +193,13 @@ def suite_stewart(trials, max_dim, seed, tol: Tolerances | None = None):
         _check_alpha(alpha, pr_t.gamma)
         s = alpha * _s_alpha_direction(t, tol)
 
-        res = update_stewart(t, s, tol)
         pair = _Pair(t, s, tol, pr_t)
-        # |ST'| as the update measured it, on the same factorization of T
-        right = _solve_shifted(np.eye(rows, dtype=np.complex128) + pair.std, pr_t.pinv,
-                               res.norms_used["norm_STd"], tol, right=True)
-        # error_bound_stewart(t, s): the same formula on the same norms
-        bound = res.bound_apriori
+        res = _update_stewart(pair)
+        bound = res.bound_apriori  # _error_bound_stewart(pair)
         measured = pair.norm_pinv_diff
         return {
             "worst_oracle_rel": res.oracle_discrepancy / norm_td,
-            "worst_left_right_rel": spectral_norm(res.pinv_updated - right)
+            "worst_left_right_rel": spectral_norm(res.pinv_updated - pair.closed_form)
             / max(1.0, norm_td),
             "rank_mismatches": pair.pr_sum.rank != pr_t.rank,
             "worst_null_gap": principal_angle_gap(pr_t.null_basis, pair.pr_sum.null_basis, tol),
@@ -230,8 +229,8 @@ def suite_relative(trials, max_dim, seed, tol: Tolerances | None = None):
         lam = 0.0 if rng.uniform() < 0.05 else float(rng.uniform(0.0, 0.9))
         s = random_relative_perturbation(t, lam, int(rng.integers(0, 2**62)))
 
-        res = update_relative_surjective(t, s, lam, 0.0, tol)
         pair = _Pair(t, s, tol)
+        res = _update_relative(pair, lam, 0.0)
         pr_t, pr_sum = pair.pr_t, pair.pr_sum
         norm_td = spectral_norm(pr_t.pinv)
         cap = norm_td / (1.0 - lam)
@@ -298,14 +297,14 @@ def suite_reverse_order(trials, max_dim, seed, tol: Tolerances | None = None):
         f = _draw_operator(rng, m, k, k, 0.4, 1.0, 3.0)
         g = _draw_operator(rng, k, n, k, 0.4, 1.0, 3.0)
         fp = reverse_order_pinv(f, g, tol)
-        a_rank = pseudoinverse(fp.a, tol).rank
+        pr_a = pseudoinverse(fp.a, tol)
         range_gap = principal_angle_gap(
-            orthonormal_range_basis(fp.a, tol), orthonormal_range_basis(f, tol), tol
+            pr_a.u[:, :pr_a.rank], orthonormal_range_basis(f, tol), tol
         )
         return {
             "worst_three_way_rel": fp.max_pairwise_discrepancy
             / max(1.0, spectral_norm(fp.pinv_oracle)),
-            "rank_mismatches": a_rank != k,
+            "rank_mismatches": pr_a.rank != k,
             "worst_range_gap": range_gap,
         }
 
@@ -406,11 +405,12 @@ def suite_typo_regressions(seed, tol: Tolerances | None = None):
                 seed=int(rng.integers(0, 2**62)))
     )
     s = random_relative_perturbation(t, 0.4, int(rng.integers(0, 2**62)))
-    td = pseudoinverse(t, tol).pinv
+    pair = _Pair(t, s, tol)
+    td = pair.pr_t.pinv
     intro_inner_dim = (np.eye(5, dtype=np.complex128) + td @ s).shape[0]
     ill_formed = td.shape[1] != intro_inner_dim
 
-    res = update_relative_surjective(t, s, 0.4, 0.0, tol)
+    res = _update_relative(pair, 0.4, 0.0)
     oracle_rel = res.oracle_discrepancy / max(1.0, spectral_norm(td))
     passed = ill_formed and oracle_rel <= RELATIVE_ORACLE_REL
     return {

@@ -195,6 +195,22 @@ class TestExitCodeContract:
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize("kernel, argv", [
+        ("svd", ["pinv", "t"]),
+        ("eigvalsh", ["check", "t", "s"]),
+        ("eigvalsh", ["bounds", "t", "s"]),
+    ])
+    def test_decomposition_failure_exits_2(self, fixtures, capsys, monkeypatch, kernel, argv):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, kernel, fail)
+        code, out, _ = run_cli(capsys, "--json", argv[0], *(fixtures[a] for a in argv[1:]))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "DecompositionError"
+        assert "failed to converge for shape" in err["message"]
+
 
 class TestBoundsAndRol:
     def test_bounds_on_certified_pair(self, fixtures, capsys):

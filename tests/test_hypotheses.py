@@ -264,7 +264,7 @@ def test_refusals_are_built_only_where_no_shared_condition_applies():
         ("generators", "_check_alpha", "alpha"): 1,
         ("generators", "random_relative_perturbation", "lambda1"): 1,
         ("reverse_order", "reverse_order_pinv", "factor_ranks"): 1,
-        ("perturb", "update_relative_surjective", "relative_bound"): 1,
+        ("perturb", "_update_relative", "relative_bound"): 1,
         ("perturb", "neumann_pinv", "ratio"): 1,
     })
 
@@ -272,12 +272,13 @@ def test_refusals_are_built_only_where_no_shared_condition_applies():
 def test_post_conditions_are_worded_only_on_the_pair():
     # every closeness and certified-bound check raises through
     # linalg._confirm; the other sites state a failure of their own: the
-    # inclusion routes disagreeing, a rank, a singular solve and a Neumann order
+    # inclusion routes disagreeing, a rank, the singular solve of the closed
+    # form and a Neumann order
     assert _refusal_sites("InvariantViolation") == Counter({
         ("hypotheses", "_exact", None): 1,
+        ("hypotheses", "closed_form", None): 1,
         ("hypotheses", "keeps_rank", None): 1,
         ("linalg", "_confirm", None): 1,
-        ("perturb", "update_relative_surjective", None): 1,
         ("perturb", "_replay_orders", None): 1,
         ("reverse_order", "reverse_order_pinv", None): 1,
     })
@@ -295,6 +296,17 @@ def test_equality_slacks_are_built_at_known_sites():
         ("hypotheses", "_relative_threshold", None): 1,
         ("pinv", "_axioms", None): 4,
         ("cli", "_cmd_rol", None): 2,
+    })
+
+
+def test_the_closed_form_is_solved_in_one_place():
+    # T'(I + ST')^-1 is the pair's closed_form; the other shifted solves are
+    # the left form (I + T'S)^-1 T' of the Stewart update and the
+    # (I + ST')^-1 whose norm the lambda2 = 0 bound checks
+    assert _call_sites(lambda f: isinstance(f, ast.Name) and f.id == "_solve_shifted") == Counter({
+        ("hypotheses", "closed_form", None): 1,
+        ("perturb", "_update_stewart", None): 1,
+        ("perturb", "_error_bound_lambda2_zero", None): 1,
     })
 
 

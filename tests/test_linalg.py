@@ -304,6 +304,14 @@ class TestSpectralNorm:
         b = random_complex(rng, 4, 5)
         assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-10
 
+    def test_eigenvalue_failure_is_a_decomposition_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(DecompositionError, match="shape \\(4, 3\\)"):
+            spectral_norm(np.ones((4, 3)))
+
 
 class TestSolveSquare:
     def test_identity(self):

@@ -10,7 +10,11 @@ singular-vector matrices (``compute_uv`` and ``full_matrices`` both true);
 tall and square inputs never need them. A second check hashes the input of
 every SVD and every eigvalsh call: no public route, and no command but
 ``verify``, takes an SVD of the same matrix twice with the same
-``compute_uv``, or the eigenvalues of the same Gram matrix twice.
+``compute_uv``, or the eigenvalues of the same Gram matrix twice. The
+``verify`` update trials run their routes on the pair they build, so the
+Stewart trial and the typo regression repeat nothing either, and the
+relative trials repeat only T where S = 0; the Neumann and reverse-order
+trials still factor their oracle S, and F and FG, a second time.
 
 A test that only decides ``|A| <= threshold`` is decided from certified
 Frobenius and column-norm bounds and measures the norm only when those
@@ -48,6 +52,7 @@ from pinvperturb import (
     update_stewart,
 )
 from pinvperturb.cli import cli_dispatch
+from pinvperturb import verify
 from pinvperturb.verify import run_verification
 
 
@@ -235,13 +240,41 @@ def test_bounds_command_factors_t_and_t_plus_s_once(tmp_path, capsys):
 def test_verification_run():
     # each gamma-continuity sequence factors T once and solves for the
     # S_alpha direction once; the Stewart and relative trials read their
-    # null bases and bounds from factorizations they already have, and the
-    # Stewart trial reads gamma(T) from its factorization; inclusions,
+    # null bases and bounds from factorizations they already have, the
+    # Stewart trial reads gamma(T) from its factorization, and the update
+    # trials run each route on the pair they built; the axiom trial reads
+    # the |T'| it measured and the reverse-order trial reads the rank and
+    # range basis of FG from one factorization; inclusions,
     # orthonormality, mat_close and the Neumann stopping rule are decided
     # from bounds, and no solve of I + X with |X| < 1 checks singularity;
     # every norm is a Gram eigenvalue, and the relative and Neumann trials
     # take no SVD of S or ST', which only the sampler reads
-    assert costs(run_verification, 20, 0) == (707, 1142)
+    assert costs(run_verification, 20, 0) == (606, 1085)
+
+
+def test_verify_update_trials_factor_each_operator_once():
+    # each trial runs its routes on one pair and reads T+S, the closed form
+    # and the bound from it
+    assert repeated_svds(verify.suite_stewart, 20, 20, 0) == {}
+    assert repeated_svds(verify.suite_typo_regressions, 0) == {}
+
+
+def test_relative_trials_repeat_only_where_s_is_zero(monkeypatch):
+    # with S = 0, T+S is T: the pair factors it as T and as the oracle, and
+    # |T'| and |(T+S)'| are the same Gram eigenvalue
+    draw = verify.random_relative_perturbation
+    zero_shapes = []
+
+    def recording(t, lam, seed):
+        s = draw(t, lam, seed)
+        if not s.any():
+            zero_shapes.append(t.shape)
+        return s
+
+    monkeypatch.setattr(verify, "random_relative_perturbation", recording)
+    repeats = repeated_svds(verify.suite_relative, 20, 20, 0)
+    [(rows, cols)] = zero_shapes  # one trial of this run draws S = 0
+    assert repeats == {((rows, cols), "<c16", "svd"): 2, ((rows, rows), "<c16", "eigvalsh"): 2}
 
 
 def test_gen_salpha_measures_gamma_once(tmp_path, capsys):
