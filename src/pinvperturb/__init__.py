@@ -29,7 +29,7 @@ _PUBLIC = {
                    "s_alpha"),
     "hypotheses": ("HypothesisReport", "check_null_inclusion", "check_range_inclusion",
                    "check_relative_bound", "check_stewart_hypotheses", "estimate_lambda1"),
-    "linalg": ("SvdFactors", "Tolerances", "adjoint", "as_matrix", "mat_close", "multiply",
+    "linalg": ("SvdFactors", "Tolerances", "adjoint", "as_matrix", "mat_close",
                "null_space_basis", "numerical_rank", "orthonormal_range_basis",
                "principal_angle_gap", "singular_values", "solve_square", "spectral_norm",
                "svd"),

@@ -26,7 +26,7 @@ from .errors import (
     MatrixMarketError,
     SingularMatrixError,
 )
-from .linalg import Tolerances, _norm_bounds, singular_values, spectral_norm
+from .linalg import Tolerances, _norm_bounds, _within, singular_values, spectral_norm
 from .pinv import _axioms, _gamma, _norm_pinv, pseudoinverse, reduced_min_modulus
 from .report import Report, serialize_report
 
@@ -257,29 +257,31 @@ def _cmd_bounds(args, tol, files):
         "measured_pinv_norm": _norm_pinv(pair.pr_sum),
     }
 
-    for name, bound_of in (("stewart", _error_bound_stewart),
-                           ("lambda2_zero", _error_bound_lambda2_zero)):
-        try:
-            bound = bound_of(pair)
-            verdicts[name] = {"applicable": True, "bound": bound, "measured": measured_diff,
-                              "dominates": pair.within(measured_diff, bound)}
-        except HypothesisRefusal as exc:
-            verdicts[name] = {"applicable": False, "reason": str(exc)}
-    for case in ("injective", "surjective", "general"):
-        name = f"ding_huang_{case}"
-        try:
-            entry = asdict(_ding_huang(pair, case))
-            del entry["case"]
-            verdicts[name] = {"applicable": True, **entry, "dominates": True}
-        except HypothesisRefusal as exc:
-            verdicts[name] = {"applicable": False, "reason": str(exc)}
-    try:
+    def dominated(bound_of):
+        bound = bound_of(pair)
+        return {"bound": bound, "measured": measured_diff,
+                "dominates": pair.within(measured_diff, bound)}
+
+    def ding_huang(case):
+        entry = asdict(_ding_huang(pair, case))
+        del entry["case"]
+        return {**entry, "dominates": True}
+
+    def gamma_continuity():
         # like Ding-Huang, the helper raised unless its bound dominates
         achieved, bound = _gamma_continuity(pair)
-        verdicts["gamma_continuity"] = {
-            "applicable": True, "bound": bound, "measured": achieved, "dominates": True}
-    except HypothesisRefusal as exc:
-        verdicts["gamma_continuity"] = {"applicable": False, "reason": str(exc)}
+        return {"bound": bound, "measured": achieved, "dominates": True}
+
+    routes = {"stewart": lambda: dominated(_error_bound_stewart),
+              "lambda2_zero": lambda: dominated(_error_bound_lambda2_zero),
+              **{f"ding_huang_{case}": lambda case=case: ding_huang(case)
+                 for case in ("injective", "surjective", "general")},
+              "gamma_continuity": gamma_continuity}
+    for name, route in routes.items():
+        try:
+            verdicts[name] = {"applicable": True, **route()}
+        except HypothesisRefusal as exc:
+            verdicts[name] = {"applicable": False, "reason": str(exc)}
 
     failures = [v for v in verdicts.values()
                 if isinstance(v, dict) and v["applicable"] and not v["dominates"]]
@@ -297,8 +299,8 @@ def _cmd_rol(args, tol, files):
     # the largest column norm bounds the scale below; the three norms are
     # measured only when that bound leaves the verdict open
     disc = fp.max_pairwise_discrepancy
-    agree = (disc <= tol.eq(max(_norm_bounds(m)[0] for m in routes))
-             or disc <= tol.eq(max(spectral_norm(m) for m in routes)))
+    agree = (_within(disc, 0.0, max(_norm_bounds(m)[0] for m in routes), tol)
+             or _within(disc, 0.0, max(spectral_norm(m) for m in routes), tol))
     if args.output:
         files.write(fp.pinv_reverse, args.output, format=args.format)
     report = Report(

@@ -229,8 +229,8 @@ class _Pair:
         if inclusion not in self._held:
             residuals = self._residuals(inclusion)
             his = tuple(0.0 if r is None else _norm_bounds(r)[1] for r in residuals)
-            thr = self.tol.eq(_norm_bounds(self.ms)[0])
-            certified = all(hi <= thr for hi in his)
+            lo = _norm_bounds(self.ms)[0]
+            certified = all(_within(hi, 0.0, lo, self.tol) for hi in his)
             self._held[inclusion] = certified, his, None if certified else residuals
         return self._held[inclusion]
 
@@ -394,8 +394,9 @@ def check_relative_bound(
     ``samples`` random unit vectors, on every right-singular direction of
     T, S and T+S, on a basis of N(T), and on the pulled-back extremal
     directions ``T'v`` for right-singular vectors v of ``S T'`` (these carry
-    the true maximizer of |Sx| / |Tx|). Returns (worst slack >= -tol, worst slack); the reduction
-    is a minimum, so evaluation order never matters.
+    the true maximizer of |Sx| / |Tx|). Returns (worst slack >=
+    -eq(max(|T|, |S|)), worst slack); the reduction is a minimum, so
+    evaluation order never matters.
     """
     pair = _Pair(t, s, tol)
     _check_lambdas(lambda1, lambda2)

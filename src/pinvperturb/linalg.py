@@ -109,16 +109,6 @@ class SvdFactors:
     v: np.ndarray
 
 
-def multiply(a, b) -> np.ndarray:
-    """Matrix product; raises :class:`ShapeMismatchError` if inner dims differ."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise ShapeMismatchError(
-            f"cannot multiply {ma.shape} by {mb.shape}: inner dimensions differ"
-        )
-    return ma @ mb
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose. Involutive: ``adjoint(adjoint(a)) == a`` exactly."""
     return as_matrix(a).conj().T

@@ -12,18 +12,19 @@ measure it themselves only when its bounds decided without it.
 Each route and bound declares the shared hypotheses it needs as a tuple of
 condition names (``_STEWART``, the cases of ``_DH_CASES``, ...) and refuses
 through ``_Pair.require``, which tests and words each condition in one
-place. Only the two conditions no other route shares are refused here: the
-relative bound of :func:`update_relative_surjective` and the ratio of
-:func:`neumann_pinv`.
+place; the ratio of :func:`neumann_pinv` is ``norm_STd`` on its pair
+(T, S - T). Only the condition no other route shares is refused here: the
+relative bound of :func:`update_relative_surjective`.
 
 Each route reads (T, S) through one ``hypotheses._Pair``, which measures
-every quantity of the pair once. Every update and bound function but
-:func:`neumann_pinv` builds the pair and hands it to its private helper
-(``_update_stewart``, ``_update_relative``, ``_error_bound_stewart``, ...),
-which takes only the pair and its own route parameters, so a caller that
-runs several routes on one pair, like ``bounds`` or ``verify``, builds one
-pair for all. Both updates end in :func:`_updated`, and the closed form
-T'(I + ST')^-1 is solved once, as ``_Pair.closed_form``.
+every quantity of the pair once. Every update, bound and series function
+builds the pair and hands it to its private helper (``_update_stewart``,
+``_update_relative``, ``_neumann``, ``_error_bound_stewart``, ...), which
+takes only the pair and its own route parameters, so a caller that runs
+several routes on one pair, like ``bounds`` or ``verify``, builds one pair
+for all. ``_neumann`` also returns the factorization of S that is its
+oracle, for ``verify`` to read. Both updates end in :func:`_updated`, and
+the closed form T'(I + ST')^-1 is solved once, as ``_Pair.closed_form``.
 
 Every norm a route returns or compares is the pair's own reading
 (``norm_s``, ``norm_tds``, ``norm_std``) or a ``spectral_norm``, one
@@ -51,16 +52,15 @@ from .linalg import (
     _solve_shifted,
     spectral_norm,
 )
-from .pinv import _norm_pinv, pseudoinverse
+from .pinv import PinvResult, _norm_pinv, pseudoinverse
 
 
 @dataclass(frozen=True)
 class UpdateResult:
     """A perturbed pseudoinverse from a closed-form update.
 
-    method is one of ``stewart_left``, ``stewart_right``,
-    ``relative_surjective``, ``neumann_series``. bound_apriori (when the
-    route has one) dominates the true change |(T+S)' - T'|.
+    method is ``stewart_left`` or ``relative_surjective``. bound_apriori
+    (when the route has one) dominates the true change |(T+S)' - T'|.
     oracle_discrepancy measures the update against the direct SVD
     pseudoinverse of T+S; a route raises :class:`InvariantViolation` rather
     than return an update farther than ``eq(max(|update|, |T'|))`` from it.
@@ -211,8 +211,9 @@ def neumann_pinv(
     """Pseudoinverse of S as the series T' * sum_n (-(S - T) T')^n.
 
     Valid for surjective T when N(T) is contained in N(S - T) and the ratio
-    |(S - T) T'| is below 1; then the minimal lambda1 for the difference
-    equals the ratio and the alternating series converges geometrically to
+    |(S - T) T'| is below 1 with the strict margin (``norm_STd`` of the pair
+    (T, S - T)); then the minimal lambda1 for the difference equals the
+    ratio and the alternating series converges geometrically to
     S' = T' (I + (S - T) T')^-1. Terms accumulate until the next term drops
     below eps_series (default 1e-12 * |T'|) or max_terms is hit; a
     non-finite or non-positive eps_series and a max_terms below 1 are
@@ -229,24 +230,25 @@ def neumann_pinv(
         raise ValueError("max_terms must be a positive integer")
     if eps_series is not None and not 0.0 < float(eps_series) < math.inf:
         raise ValueError(f"eps_series must be finite and positive, got {eps_series}")
-    pair = _Pair(mt, ms - mt, tol)  # T and the perturbation S - T
-    pair.require("Neumann inversion", "surjective")
+    return _neumann(_Pair(mt, ms - mt, tol), ms, eps_series, max_terms)[0]
+
+
+def _neumann(pair: _Pair, ms: np.ndarray, eps_series: float | None,
+             max_terms: int) -> tuple[NeumannResult, PinvResult]:
+    """:func:`neumann_pinv` on ``pair``, the pair (T, S - T) of ``ms = S``;
+    also returns the factorization of S, whose pinv is the oracle."""
+    pair.require("Neumann inversion", "surjective", "norm_STd", "null_inclusion")
     tol, prt = pair.tol, pair.pr_t
-    rows = mt.shape[0]
+    rows = pair.mt.shape[0]
     td = prt.pinv
     norm_td = _norm_pinv(prt)
     step = pair.std
     ratio = pair.norm_std
-    if not pair.strict(ratio):
-        raise HypothesisRefusal(
-            f"Neumann inversion refused: ratio ‖(S-T)T†‖ = {ratio:.6g} ≥ 1",
-            condition="ratio",
-        )
-    pair.require("Neumann inversion", "null_inclusion")
 
     eps = 1e-12 * norm_td if eps_series is None else float(eps_series)
     # T + (S - T) is S only up to rounding: the oracle factors S itself
-    oracle = pseudoinverse(ms, tol).pinv
+    pr_s = pseudoinverse(ms, tol)
+    oracle = pr_s.pinv
 
     def tail(k):
         return norm_td * ratio**k / (1.0 - ratio)
@@ -308,7 +310,7 @@ def neumann_pinv(
         ratio=ratio,
         residual_bound=residual_bound,
         converged=converged,
-    )
+    ), pr_s
 
 
 def _term_bounds(nxt, prev, prev_fro, ratio_hi, rounding) -> tuple[float, float, float]:

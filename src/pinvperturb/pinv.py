@@ -19,6 +19,7 @@ from .linalg import (
     _factor,
     _svd,
     _tol,
+    _within,
     adjoint,
     as_matrix,
     numerical_rank,
@@ -170,10 +171,10 @@ def _axioms(m: np.ndarray, c: np.ndarray, nc: float, tol: Tolerances) -> AxiomRe
     r3 = spectral_norm(tc.conj().T - tc)
     r4 = spectral_norm(ct.conj().T - ct)
     passed = (
-        r1 <= tol.eq(nt)
-        and r2 <= tol.eq(nc)
-        and r3 <= tol.eq(max(1.0, nt * nc))
-        and r4 <= tol.eq(max(1.0, nt * nc))
+        _within(r1, 0.0, nt, tol)
+        and _within(r2, 0.0, nc, tol)
+        and _within(r3, 0.0, max(1.0, nt * nc), tol)
+        and _within(r4, 0.0, max(1.0, nt * nc), tol)
     )
     return AxiomReport(r1, r2, r3, r4, passed)
 

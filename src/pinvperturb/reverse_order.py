@@ -5,6 +5,9 @@ pseudoinverse factors as A' = G' F' and has the closed form
 G* (G G*)^-1 (F* F)^-1 F*. All three routes are computed and compared;
 the intermediate identities A' F = G* (G G*)^-1 and G A' = (F* F)^-1 F*
 behind the factorization are asserted as internal checks.
+
+:func:`reverse_order_pinv` hands the validated factors to ``_reverse_order``,
+which also returns the factorizations of F and of A, for ``verify`` to read.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from .linalg import (
     solve_square,
     spectral_norm,
 )
-from .pinv import pseudoinverse
+from .pinv import PinvResult, pseudoinverse
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,18 @@ class FactoredPinv:
     max_pairwise_discrepancy: float
 
 
+def _factors(f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the factors F and G: matrices whose product FG is defined."""
+    mf, mg = as_matrix(f), as_matrix(g)
+    if mf.shape[1] != mg.shape[0]:
+        raise ShapeMismatchError(f"factors do not conform: F is {mf.shape}, G is {mg.shape}")
+    return mf, mg
+
+
 def check_rol_hypotheses(f, g, tol: Tolerances | None = None) -> bool:
     """True iff F has full column rank and G has full row rank (numerically)."""
     tol = _tol(tol)
-    mf, mg = as_matrix(f), as_matrix(g)
-    if mf.shape[1] != mg.shape[0]:
-        raise ShapeMismatchError(
-            f"factors do not conform: F is {mf.shape}, G is {mg.shape}"
-        )
+    mf, mg = _factors(f, g)
     rank_f = numerical_rank(singular_values(mf), mf.shape, tol)
     rank_g = numerical_rank(singular_values(mg), mg.shape, tol)
     return rank_f == mf.shape[1] and rank_g == mg.shape[0]
@@ -58,12 +65,13 @@ def check_rol_hypotheses(f, g, tol: Tolerances | None = None) -> bool:
 
 def reverse_order_pinv(f, g, tol: Tolerances | None = None) -> FactoredPinv:
     """Pseudoinverse of A = F G by oracle, reverse order, and closed form."""
-    tol = _tol(tol)
-    mf, mg = as_matrix(f), as_matrix(g)
-    if mf.shape[1] != mg.shape[0]:
-        raise ShapeMismatchError(
-            f"factors do not conform: F is {mf.shape}, G is {mg.shape}"
-        )
+    return _reverse_order(*_factors(f, g), _tol(tol))[0]
+
+
+def _reverse_order(mf: np.ndarray, mg: np.ndarray,
+                   tol: Tolerances) -> tuple[FactoredPinv, PinvResult, PinvResult]:
+    """:func:`reverse_order_pinv` on validated factors; also returns the
+    factorizations of F and of A = FG, the oracle."""
     pr_f, pr_g = pseudoinverse(mf, tol), pseudoinverse(mg, tol)
     if pr_f.rank != mf.shape[1] or pr_g.rank != mg.shape[0]:
         raise HypothesisRefusal(
@@ -74,7 +82,8 @@ def reverse_order_pinv(f, g, tol: Tolerances | None = None) -> FactoredPinv:
         )
 
     a = mf @ mg
-    oracle = pseudoinverse(a, tol).pinv
+    pr_a = pseudoinverse(a, tol)
+    oracle = pr_a.pinv
     reverse = pr_g.pinv @ pr_f.pinv
 
     fa, ga = adjoint(mf), adjoint(mg)
@@ -103,4 +112,4 @@ def reverse_order_pinv(f, g, tol: Tolerances | None = None) -> FactoredPinv:
         pinv_closed_form=closed,
         pinv_oracle=oracle,
         max_pairwise_discrepancy=disc,
-    )
+    ), pr_f, pr_a

@@ -16,10 +16,13 @@ on its pair; a gamma-continuity sequence factors T once, solves for the
 S_alpha direction once (``generators._s_alpha_direction``) and runs
 ``_gamma_continuity`` on one pair per step, each built on that
 factorization of T. The axiom trial hands the |T'| it measured to
-``pinv._axioms``. An operator is factored twice only where a route factors
-it as its own oracle or input: S of the Neumann trial, F and FG of the
-reverse-order trial, and T when S = 0. Each value equals, bit for bit, what
-the public route would return.
+``pinv._axioms``. The Neumann trial measures the series against the
+factorization of S that ``perturb._neumann`` returns, and the
+reverse-order trial reads the rank and range basis of FG and the range
+basis of F from the factorizations ``reverse_order._reverse_order``
+returns. An operator is factored twice only in a relative trial with
+S = 0, where T+S is T. Each value equals, bit for bit, what the public
+route would return.
 
 The pinned thresholds below are the acceptance contract; they are fixed
 here, not derived from the configurable Tolerances.
@@ -38,23 +41,16 @@ from .generators import (
     random_relative_perturbation,
 )
 from .hypotheses import _Pair
-from .linalg import (
-    Tolerances,
-    _tol,
-    adjoint,
-    orthonormal_range_basis,
-    principal_angle_gap,
-    spectral_norm,
-)
+from .linalg import Tolerances, _tol, adjoint, principal_angle_gap, spectral_norm
 from .perturb import (
     _error_bound_lambda2_zero,
     _gamma_continuity,
+    _neumann,
     _update_relative,
     _update_stewart,
-    neumann_pinv,
 )
 from .pinv import _axioms, pseudoinverse, reduced_min_modulus
-from .reverse_order import check_rol_hypotheses, reverse_order_pinv
+from .reverse_order import _reverse_order, check_rol_hypotheses
 
 AXIOM_REL = 1e-9
 IDENTITY_REL = 1e-9
@@ -269,8 +265,8 @@ def suite_neumann(trials, max_dim, seed, tol: Tolerances | None = None):
         d = (rho / spectral_norm(w)) * d0
         s = t + d
 
-        res = neumann_pinv(t, s, tol=tol)
-        final_err = spectral_norm(res.pinv_s - pseudoinverse(s, tol).pinv)
+        res, pr_s = _neumann(_Pair(t, s - t, tol), s, None, 10_000)  # neumann_pinv's defaults
+        final_err = spectral_norm(res.pinv_s - pr_s.pinv)
         cap = math.ceil(math.log(1e-12) / math.log(res.ratio)) + 2
         return {
             "worst_tail_excess": final_err - res.residual_bound,
@@ -296,11 +292,8 @@ def suite_reverse_order(trials, max_dim, seed, tol: Tolerances | None = None):
         n = int(rng.integers(k, max_dim + 1))
         f = _draw_operator(rng, m, k, k, 0.4, 1.0, 3.0)
         g = _draw_operator(rng, k, n, k, 0.4, 1.0, 3.0)
-        fp = reverse_order_pinv(f, g, tol)
-        pr_a = pseudoinverse(fp.a, tol)
-        range_gap = principal_angle_gap(
-            pr_a.u[:, :pr_a.rank], orthonormal_range_basis(f, tol), tol
-        )
+        fp, pr_f, pr_a = _reverse_order(f, g, tol)
+        range_gap = principal_angle_gap(pr_a.u[:, :pr_a.rank], pr_f.u[:, :pr_f.rank], tol)
         return {
             "worst_three_way_rel": fp.max_pairwise_discrepancy
             / max(1.0, spectral_norm(fp.pinv_oracle)),

@@ -263,9 +263,8 @@ def test_refusals_are_built_only_where_no_shared_condition_applies():
         ("hypotheses", "_check_lambdas", "lambda2"): 1,
         ("generators", "_check_alpha", "alpha"): 1,
         ("generators", "random_relative_perturbation", "lambda1"): 1,
-        ("reverse_order", "reverse_order_pinv", "factor_ranks"): 1,
+        ("reverse_order", "_reverse_order", "factor_ranks"): 1,
         ("perturb", "_update_relative", "relative_bound"): 1,
-        ("perturb", "neumann_pinv", "ratio"): 1,
     })
 
 
@@ -280,7 +279,7 @@ def test_post_conditions_are_worded_only_on_the_pair():
         ("hypotheses", "keeps_rank", None): 1,
         ("linalg", "_confirm", None): 1,
         ("perturb", "_replay_orders", None): 1,
-        ("reverse_order", "reverse_order_pinv", None): 1,
+        ("reverse_order", "_reverse_order", None): 1,
     })
 
 
@@ -292,10 +291,7 @@ def test_equality_slacks_are_built_at_known_sites():
         ("linalg", "_confirm", None): 1,
         ("linalg", "_check_orthonormal", None): 1,
         ("hypotheses", "_exact", None): 1,
-        ("hypotheses", "_bounded", None): 1,
         ("hypotheses", "_relative_threshold", None): 1,
-        ("pinv", "_axioms", None): 4,
-        ("cli", "_cmd_rol", None): 2,
     })
 
 

@@ -13,7 +13,6 @@ from pinvperturb import (
     Tolerances,
     adjoint,
     as_matrix,
-    multiply,
     null_space_basis,
     orthonormal_range_basis,
     principal_angle_gap,
@@ -74,25 +73,6 @@ class TestTolerances:
             Tolerances(margin_strict=1.0)
 
 
-class TestMultiply:
-    def test_identity(self):
-        eye = np.eye(2)
-        np.testing.assert_array_equal(multiply(eye, eye), np.eye(2))
-
-    def test_nilpotent_squares_to_zero(self):
-        n = np.array([[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(multiply(n, n), np.zeros((2, 2)))
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        np.testing.assert_allclose(multiply(a, b), [[17.0], [39.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            multiply(np.eye(2), np.eye(3))
-
-
 _small_complex = arrays(
     np.complex128,
     st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -128,8 +108,8 @@ class TestAdjoint:
                 ),
             )
         )
-        lhs = adjoint(multiply(a, b))
-        rhs = multiply(adjoint(b), adjoint(a))
+        lhs = adjoint(a @ b)
+        rhs = adjoint(b) @ adjoint(a)
         assert spectral_norm(lhs - rhs) <= 1e-10 + 1e-10 * spectral_norm(lhs)
 
 

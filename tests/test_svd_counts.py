@@ -11,10 +11,10 @@ tall and square inputs never need them. A second check hashes the input of
 every SVD and every eigvalsh call: no public route, and no command but
 ``verify``, takes an SVD of the same matrix twice with the same
 ``compute_uv``, or the eigenvalues of the same Gram matrix twice. The
-``verify`` update trials run their routes on the pair they build, so the
-Stewart trial and the typo regression repeat nothing either, and the
-relative trials repeat only T where S = 0; the Neumann and reverse-order
-trials still factor their oracle S, and F and FG, a second time.
+``verify`` update trials run their routes on the pair they build, and the
+Neumann and reverse-order trials read the factorizations of S, and of F
+and FG, that their routes return, so those trials and the typo regression
+repeat nothing either; the relative trials repeat only T where S = 0.
 
 A test that only decides ``|A| <= threshold`` is decided from certified
 Frobenius and column-norm bounds and measures the norm only when those
@@ -243,13 +243,15 @@ def test_verification_run():
     # null bases and bounds from factorizations they already have, the
     # Stewart trial reads gamma(T) from its factorization, and the update
     # trials run each route on the pair they built; the axiom trial reads
-    # the |T'| it measured and the reverse-order trial reads the rank and
-    # range basis of FG from one factorization; inclusions,
-    # orthonormality, mat_close and the Neumann stopping rule are decided
-    # from bounds, and no solve of I + X with |X| < 1 checks singularity;
-    # every norm is a Gram eigenvalue, and the relative and Neumann trials
-    # take no SVD of S or ST', which only the sampler reads
-    assert costs(run_verification, 20, 0) == (606, 1085)
+    # the |T'| it measured, the Neumann trial measures the series against
+    # the factorization of S its route took, and the reverse-order trial
+    # reads the rank and range bases of FG and F from those its route
+    # took; inclusions, orthonormality, mat_close and the Neumann stopping
+    # rule are decided from bounds, and no solve of I + X with |X| < 1
+    # checks singularity; every norm is a Gram eigenvalue, and the
+    # relative and Neumann trials take no SVD of their pair's S or ST',
+    # which only the sampler reads
+    assert costs(run_verification, 20, 0) == (546, 1085)
 
 
 def test_verify_update_trials_factor_each_operator_once():
@@ -257,6 +259,13 @@ def test_verify_update_trials_factor_each_operator_once():
     # and the bound from it
     assert repeated_svds(verify.suite_stewart, 20, 20, 0) == {}
     assert repeated_svds(verify.suite_typo_regressions, 0) == {}
+
+
+def test_verify_neumann_and_reverse_order_trials_factor_each_operator_once():
+    # each trial reads its oracle, ranks and range bases from the
+    # factorizations its route returns
+    assert repeated_svds(verify.suite_neumann, 20, 20, 0) == {}
+    assert repeated_svds(verify.suite_reverse_order, 20, 20, 0) == {}
 
 
 def test_relative_trials_repeat_only_where_s_is_zero(monkeypatch):
