@@ -4,9 +4,10 @@ Subcommands mirror the library surface: ``pinv``, ``check``, ``update``,
 ``bounds``, ``rol``, ``gen``, and ``verify``. Every run prints a structured
 report (JSON under ``--json``) and exits 0 on success, 1 on a hypothesis
 refusal or verification failure, 2 on usage or I/O errors and on a
-decomposition that does not converge (``DecompositionError``). Default
-tolerances can be overridden by flags or by PINVPERTURB_TOL_ABS,
-PINVPERTURB_TOL_REL, PINVPERTURB_RANK_REL, PINVPERTURB_MARGIN.
+decomposition that does not converge (``DecompositionError``). Each field
+of ``Tolerances`` has its flag in ``_TOLERANCE_FLAGS``; a flag, else the
+environment variable ``PINVPERTURB_`` plus the flag's name in upper case
+(PINVPERTURB_TOL_ABS, ...), overrides the default that ``--help`` prints.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -34,6 +35,13 @@ from .report import Report, serialize_report
 # so a process loads only what its command runs.
 
 _ENV_PREFIX = "PINVPERTURB_"
+# (Tolerances field, flag, help) for each tolerance, in the order of --help
+_TOLERANCE_FLAGS = (
+    ("eq_abs", "--tol-abs", "absolute equality tolerance"),
+    ("eq_rel", "--tol-rel", "relative equality tolerance"),
+    ("rank_rel", "--rank-rel", "relative rank cutoff factor"),
+    ("margin_strict", "--margin", "strictness margin for norm conditions"),
+)
 
 
 class _Files:
@@ -55,21 +63,14 @@ class _Files:
 
 
 def _resolve_tolerances(args) -> Tolerances:
-    def pick(flag_value, env_suffix, default):
-        if flag_value is not None:
-            return flag_value
-        raw = os.environ.get(_ENV_PREFIX + env_suffix)
-        if raw is not None:
-            return float(raw)
-        return default
-
-    base = Tolerances()
-    return Tolerances(
-        rank_rel=pick(args.rank_rel, "RANK_REL", base.rank_rel),
-        eq_abs=pick(args.tol_abs, "TOL_ABS", base.eq_abs),
-        eq_rel=pick(args.tol_rel, "TOL_REL", base.eq_rel),
-        margin_strict=pick(args.margin, "MARGIN", base.margin_strict),
-    )
+    """Each tolerance from its flag, else its environment variable, else the default."""
+    chosen = {}
+    for field, flag, _ in _TOLERANCE_FLAGS:
+        name = flag.lstrip("-").replace("-", "_")
+        value, raw = getattr(args, name), os.environ.get(_ENV_PREFIX + name.upper())
+        if value is not None or raw is not None:
+            chosen[field] = float(raw) if value is None else value
+    return Tolerances(**chosen)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,14 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pinvperturb",
         description="Certified pseudoinverse perturbation toolkit on Matrix Market files.",
     )
-    parser.add_argument("--tol-abs", type=float, default=None,
-                        help="absolute equality tolerance (default 1e-10)")
-    parser.add_argument("--tol-rel", type=float, default=None,
-                        help="relative equality tolerance (default 1e-10)")
-    parser.add_argument("--rank-rel", type=float, default=None,
-                        help="relative rank cutoff factor (default machine epsilon)")
-    parser.add_argument("--margin", type=float, default=None,
-                        help="strictness margin for norm conditions (default 1e-8)")
+    defaults = Tolerances()
+    for field, flag, text in _TOLERANCE_FLAGS:
+        parser.add_argument(flag, type=float, default=None,
+                            help=f"{text} (default {getattr(defaults, field)})")
     parser.add_argument("--json", action="store_true",
                         help="emit the report (or error object) as JSON on stdout")
     parser.add_argument("--seed", type=int, default=0,
@@ -168,7 +165,7 @@ def _cmd_pinv(args, tol, files):
     t = files.read(args.t)
     pr = pseudoinverse(t, tol)
     norm_pinv = spectral_norm(pr.pinv)
-    ax = _axioms(t, pr.pinv, norm_pinv, tol)
+    ax = _axioms(t, pr.pinv, float(pr.sigma[0]), norm_pinv, tol)
     if args.output:
         files.write(pr.pinv, args.output, format=args.format)
     report = Report(
@@ -198,45 +195,31 @@ def _cmd_check(args, tol, files):
     return report, 0 if any_certified else 1
 
 
-def _update_verdicts(res) -> dict:
-    return {
-        "method": res.method,
-        "bound_apriori": res.bound_apriori,
-        "oracle_discrepancy": res.oracle_discrepancy,
-        "norms_used": dict(res.norms_used),
-    }
-
-
 def _cmd_update(args, tol, files):
     from .perturb import neumann_pinv, update_relative_surjective, update_stewart
 
     t = files.read(args.t)
     s = files.read(args.s)
     inputs = {"t": args.t, "s": args.s, "method": args.method}
+    verdicts = {}
     if args.method == "stewart":
         res = update_stewart(t, s, tol)
-        verdicts = _update_verdicts(res)
         out = res.pinv_updated
     elif args.method == "relative":
         if args.lambda1 is None:
             raise ValueError("--lambda1 is required for --method relative")
         inputs.update({"lambda1": args.lambda1, "lambda2": args.lambda2})
         res = update_relative_surjective(t, s, args.lambda1, args.lambda2, tol)
-        verdicts = _update_verdicts(res)
         out = res.pinv_updated
     else:
         inputs.update({"eps_series": args.eps_series, "max_terms": args.max_terms})
         res = neumann_pinv(t, s, eps_series=args.eps_series,
                            max_terms=args.max_terms, tol=tol)
-        verdicts = {
-            "method": "neumann_series",
-            "terms_used": res.terms_used,
-            "last_term_norm": res.last_term_norm,
-            "ratio": res.ratio,
-            "residual_bound": res.residual_bound,
-            "converged": res.converged,
-        }
+        verdicts["method"] = "neumann_series"
         out = res.pinv_s
+    # the result's fields but its matrix
+    verdicts.update((f.name, getattr(res, f.name)) for f in fields(res)
+                    if f.name not in ("pinv_updated", "pinv_s"))
     if args.output:
         files.write(out, args.output, format=args.format)
         inputs["output"] = args.output
@@ -448,12 +431,7 @@ def cli_dispatch(argv=None) -> int:
 
     report.timings["total_ms"] = (time.perf_counter() - start) * 1e3
     report.timings.update(files.timings)
-    report.tolerances_used = {
-        "rank_rel": tol.rank_rel,
-        "eq_abs": tol.eq_abs,
-        "eq_rel": tol.eq_rel,
-        "margin_strict": tol.margin_strict,
-    }
+    report.tolerances_used = asdict(tol)
     if args.json:
         print(serialize_report(report))
     else:

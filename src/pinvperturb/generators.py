@@ -124,7 +124,7 @@ def _s_alpha_direction(m: np.ndarray, tol: Tolerances) -> np.ndarray:
 
     A caller that needs S_alpha for several steps solves once and scales.
     """
-    gram = np.eye(m.shape[1], dtype=np.complex128) + adjoint(m) @ m
+    gram = np.eye(m.shape[1], dtype=m.dtype) + adjoint(m) @ m
     # sigma(I + T*T) lies in [1, 1 + |T|^2], widened by the rounding of the
     # product, at most (rows + 2) eps |T|_F^2; that proves it nonsingular
     fro_sq = _norm_bounds(m)[1] ** 2
@@ -137,8 +137,8 @@ def commute_identity_check(t, tol: Tolerances | None = None) -> float:
     tol = _tol(tol)
     m = as_matrix(t)
     ta = adjoint(m)
-    lhs = solve_square(np.eye(m.shape[0], dtype=np.complex128) + m @ ta, m, tol)
-    rhs = solve_from_right(m, np.eye(m.shape[1], dtype=np.complex128) + ta @ m, tol)
+    lhs = solve_square(np.eye(m.shape[0], dtype=m.dtype) + m @ ta, m, tol)
+    rhs = solve_from_right(m, np.eye(m.shape[1], dtype=m.dtype) + ta @ m, tol)
     resid = spectral_norm(lhs - rhs)
     _confirm("commute identity", "‖(I+TT*)⁻¹T - T(I+T*T)⁻¹‖", resid, 0.0, 1.0, tol)
     return resid

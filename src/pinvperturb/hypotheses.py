@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisRefusal, InvariantViolation, SingularMatrixError
+from .errors import HypothesisRefusal, InvariantViolation
 from .linalg import (SvdFactors, Tolerances, _confirm, _confirm_near, _norm_bounds,
                      _norm_room, _pair, _room, _solve_shifted, _tol, _within, spectral_norm, svd)
 from .pinv import PinvResult, _norm_pinv, pseudoinverse
@@ -152,11 +152,7 @@ class _Pair:
     def closed_form(self) -> np.ndarray:
         """T'(I + ST')^-1, which is (T+S)' where the theorems hold (Stewart
         1977); a singular I + ST' is an :class:`InvariantViolation`."""
-        try:
-            return _solve_shifted(np.eye(self.mt.shape[0], dtype=np.complex128) + self.std,
-                                  self.pr_t.pinv, self.norm_std, self.tol, right=True)
-        except SingularMatrixError as exc:
-            raise InvariantViolation(f"(I + ST†) is numerically singular: {exc}") from exc
+        return _solve_shifted(self.std, self.pr_t.pinv, self.norm_std, self.tol, right=True)
 
     @cached_property
     def norm_pinv_diff(self) -> float:

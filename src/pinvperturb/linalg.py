@@ -6,11 +6,12 @@ pure: inputs are never mutated and results are freshly allocated.
 
 Matrices are plain ``numpy.ndarray`` values; :func:`as_matrix` is the single
 entry point that enforces the representation (2-d, positive dimensions,
-finite entries, complex128).
+finite entries, complex128), so it alone decides the working dtype; any
+other matrix built here or downstream takes the dtype of one it was given.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,9 +77,9 @@ class Tolerances:
     margin_strict: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rel", "eq_abs", "eq_rel", "margin_strict"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"Tolerances.{name} must be finite and strictly positive")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"Tolerances.{f.name} must be finite and strictly positive")
         if self.rank_rel >= 1.0:
             raise ValueError("Tolerances.rank_rel must be < 1")
         if self.margin_strict >= 1.0:
@@ -221,13 +222,18 @@ def spectral_norm(a) -> float:
         return math.inf
 
 
+def _cutoff(sigma_max: float, shape: tuple, tol: Tolerances) -> float:
+    """The rank cutoff of a ``shape`` matrix of norm ``sigma_max``, which
+    every rank decision reads: a singular value counts iff it exceeds it."""
+    return tol.rank_rel * max(shape) * sigma_max
+
+
 def numerical_rank(sigma: np.ndarray, shape: tuple, tol: Tolerances | None = None) -> int:
     """Rank of a matrix with the given singular values under the rank cutoff."""
     tol = _tol(tol)
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    cutoff = tol.rank_rel * max(shape) * float(sigma[0])
-    return int(np.count_nonzero(sigma > cutoff))
+    return int(np.count_nonzero(sigma > _cutoff(float(sigma[0]), shape, tol)))
 
 
 def _room(shape: tuple) -> float:
@@ -285,11 +291,10 @@ def _norm_le(a, thr: float) -> bool:
     ``thr``; only when neither decides is the spectral norm measured, so
     the verdict is always the one the exact test gives.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    lo, hi = _norm_bounds(m)
+    lo, hi = _norm_bounds(a)
     if hi <= thr:
         return True
-    return lo <= thr and spectral_norm(m) <= thr
+    return lo <= thr and spectral_norm(a) <= thr
 
 
 def _within(x: float, bound: float, scale: float, tol: Tolerances) -> bool:
@@ -369,15 +374,13 @@ def _solve_bounded(a, b, tol: Tolerances, sigma_lo: float, sigma_hi: float,
     ``sigma_max(a) <= sigma_hi`` on the exact singular values of ``a``.
 
     When the bounds prove ``a`` nonsingular to the rank cutoff,
-    ``sigma_lo > rank_rel * n * sigma_hi`` after taking the rounding
-    allowance of the computed singular values off both sides, the
-    singularity SVD is skipped; the solve itself is the same. Without bounds
-    (``0, inf``) this is :func:`solve_square` unchanged.
+    ``sigma_lo > _cutoff(sigma_hi)`` after taking the rounding allowance of
+    the computed singular values off both sides, the singularity SVD is
+    skipped; the solve itself is the same. Without bounds (``0, inf``) this
+    is :func:`solve_square` unchanged.
     """
     if right:
-        ma = np.asarray(a, dtype=np.complex128).T
-        return _solve_bounded(ma, np.asarray(b, dtype=np.complex128).T, tol,
-                              sigma_lo, sigma_hi).T
+        return _solve_bounded(np.transpose(a), np.transpose(b), tol, sigma_lo, sigma_hi).T
     ma, mb = as_matrix(a), as_matrix(b)
     n = ma.shape[0]
     if ma.shape[1] != n:
@@ -387,29 +390,35 @@ def _solve_bounded(a, b, tol: Tolerances, sigma_lo: float, sigma_hi: float,
             f"right-hand side has {mb.shape[0]} rows, expected {n}"
         )
     room = _room(ma.shape)
-    if not sigma_lo - room * sigma_hi > tol.rank_rel * n * sigma_hi * (1.0 + room):
+    if not sigma_lo - room * sigma_hi > _cutoff(sigma_hi, ma.shape, tol) * (1.0 + room):
         s = singular_values(ma)
-        cutoff = tol.rank_rel * n * float(s[0]) if s[0] > 0.0 else 0.0
-        smin = float(s[-1])
-        if smin <= cutoff:
+        if numerical_rank(s, ma.shape, tol) < n:
+            smin = float(s[-1])
             raise SingularMatrixError(
                 f"matrix is singular to tolerance: smallest singular value {smin:.6e}"
-                f" (cutoff {cutoff:.6e})",
+                f" (cutoff {_cutoff(float(s[0]), ma.shape, tol):.6e})",
                 smallest_sigma=smin,
             )
     return np.linalg.solve(ma, mb)
 
 
-def _solve_shifted(a, b, norm_x: float, tol: Tolerances, right: bool = False) -> np.ndarray:
-    """:func:`_solve_bounded` for ``a = I + X`` where ``norm_x`` is the
-    measured ``|X|``.
+def _solve_shifted(x, b, norm_x: float, tol: Tolerances, right: bool = False) -> np.ndarray:
+    """:func:`_solve_bounded` of ``I + X`` where ``norm_x`` is the measured ``|X|``.
 
     By Weyl's inequality the singular values of ``I + X`` lie in
     ``[1 - |X|, 1 + |X|]``; ``norm_x`` is widened by :func:`_norm_room`
-    before it bounds the exact ``|X|``.
+    before it bounds the exact ``|X|``. Every caller's theorem makes I + X
+    invertible (``|X| < 1``, Sylvester's ``det(I + ST') = det(I + T'S)``
+    under Stewart, or the relative theorem), so a singular one raises
+    :class:`InvariantViolation`.
     """
-    x_hi = norm_x * (1.0 + _norm_room(np.shape(a)))
-    return _solve_bounded(a, b, tol, 1.0 - x_hi, 1.0 + x_hi, right)
+    x_hi = norm_x * (1.0 + _norm_room(x.shape))
+    a = np.eye(x.shape[0], dtype=x.dtype) + x
+    try:
+        return _solve_bounded(a, b, tol, 1.0 - x_hi, 1.0 + x_hi, right)
+    except SingularMatrixError as exc:
+        raise InvariantViolation(f"I + X is numerically singular although its theorem"
+                                 f" makes it invertible (‖X‖ = {norm_x:.6g}): {exc}") from exc
 
 
 def solve_from_right(a, b, tol: Tolerances | None = None) -> np.ndarray:

@@ -135,12 +135,11 @@ def _update_stewart(pair: _Pair) -> UpdateResult:
     """:func:`update_stewart` on ``pair``."""
     pair.require("Stewart update", *_STEWART)
     td = pair.pr_t.pinv
-    left = _solve_shifted(np.eye(pair.mt.shape[1], dtype=np.complex128) + pair.tds, td,
-                          pair.norm_tds, pair.tol)
+    left = _solve_shifted(pair.tds, td, pair.norm_tds, pair.tol)
     _confirm_near("Stewart update", "‖(I + T†S)⁻¹T† - T†(I + ST†)⁻¹‖", left, pair.closed_form,
                   pair.tol)
     pair.confirm_near("Stewart update", "‖(T+S)†(I + ST†) - T†‖",
-                      left @ (np.eye(pair.mt.shape[0], dtype=np.complex128) + pair.std), td)
+                      left @ (np.eye(pair.mt.shape[0], dtype=pair.std.dtype) + pair.std), td)
     return _updated(pair, "Stewart update", "‖(I + T†S)⁻¹T† - (T+S)†‖", left, "stewart_left",
                     _error_bound_stewart(pair))
 
@@ -220,10 +219,11 @@ def neumann_pinv(
     refused with ``ValueError`` before anything is factored. The null
     inclusion gives S - T = ((S - T) T') T, so the relative bound
     |(S - T)x| <= ratio |Tx| holds for every x and needs no check of its
-    own; the refusals of the shared conditions name the perturbation S - T
-    as S. Every partial sum is then certified against the direct oracle
-    within its geometric tail, from one measured oracle error at the final
-    order (see :class:`NeumannResult`), and the sum against the closed form.
+    own; the refusals of the shared conditions name S - T as the
+    perturbation, which their quantities read as S. Every partial sum is
+    then certified against the direct oracle within its geometric tail, from
+    one measured oracle error at the final order (see
+    :class:`NeumannResult`), and the sum against the closed form.
     """
     mt, ms = _pair(t, s)
     if max_terms < 1:
@@ -237,7 +237,8 @@ def _neumann(pair: _Pair, ms: np.ndarray, eps_series: float | None,
              max_terms: int) -> tuple[NeumannResult, PinvResult]:
     """:func:`neumann_pinv` on ``pair``, the pair (T, S - T) of ``ms = S``;
     also returns the factorization of S, whose pinv is the oracle."""
-    pair.require("Neumann inversion", "surjective", "norm_STd", "null_inclusion")
+    pair.require("Neumann inversion (with S − T as the perturbation)",
+                 "surjective", "norm_STd", "null_inclusion")
     tol, prt = pair.tol, pair.pr_t
     rows = pair.mt.shape[0]
     td = prt.pinv
@@ -401,11 +402,10 @@ def error_bound_lambda2_zero(t, s, tol: Tolerances | None = None) -> float:
 def _error_bound_lambda2_zero(pair: _Pair) -> float:
     """:func:`error_bound_lambda2_zero` on ``pair``."""
     pair.require("error bound", "surjective", "norm_STd", "null_inclusion")
-    norm_std = pair.norm_std
-    eye_cod = np.eye(pair.ms.shape[0], dtype=np.complex128)
+    norm_std, std = pair.norm_std, pair.std
     # the norm is measured: the Frobenius bound _norm_le reads grows like
     # sqrt(rows), and it decided this test on 3 of 15 measured pairs
-    inv = _solve_shifted(eye_cod + pair.std, eye_cod, norm_std, pair.tol)
+    inv = _solve_shifted(std, np.eye(std.shape[0], dtype=std.dtype), norm_std, pair.tol)
     pair.confirm("error bound", "‖(I+ST†)⁻¹‖", spectral_norm(inv), 1.0 / (1.0 - norm_std))
     return _apriori_bound(pair, norm_std)
 

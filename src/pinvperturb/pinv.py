@@ -109,7 +109,7 @@ def pseudoinverse(t, tol: Tolerances | None = None) -> PinvResult:
         pinv = (v[:, :r] / s[:r]) @ u[:, :r].conj().T
         gamma = float(s[r - 1])
     else:
-        pinv = np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
+        pinv = np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
         gamma = 0.0
     return PinvResult(
         pinv=pinv,
@@ -158,14 +158,14 @@ def verify_mp_axioms(t, candidate, tol: Tolerances | None = None) -> AxiomReport
         raise ShapeMismatchError(
             f"candidate shape {c.shape} does not match transpose of {m.shape}"
         )
-    return _axioms(m, c, spectral_norm(c), tol)
+    return _axioms(m, c, spectral_norm(m), spectral_norm(c), tol)
 
 
-def _axioms(m: np.ndarray, c: np.ndarray, nc: float, tol: Tolerances) -> AxiomReport:
-    """:func:`verify_mp_axioms` on validated matrices, given ``nc = |C|``."""
+def _axioms(m: np.ndarray, c: np.ndarray, nt: float, nc: float, tol: Tolerances) -> AxiomReport:
+    """:func:`verify_mp_axioms` on validated matrices, given ``nt = |T|``
+    (``sigma[0]`` of a caller's factorization) and ``nc = |C|``."""
     tc = m @ c
     ct = c @ m
-    nt = spectral_norm(m)
     r1 = spectral_norm(tc @ m - m)
     r2 = spectral_norm(ct @ c - c)
     r3 = spectral_norm(tc.conj().T - tc)

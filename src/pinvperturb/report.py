@@ -1,15 +1,17 @@
 """Structured run reports and their lossless JSON serialization.
 
 A report is rendered by the stdlib encoder with insertion key order, so
-identical reports serialize identically. Floats are written in their
-shortest round-trip form (Python's ``repr``), which reads back as the same
-binary64 value; a NaN or an infinity is refused with ``ValueError``. numpy
-booleans and integers are written as their Python values, and any other
-type the encoder does not know is refused with ``TypeError``.
+identical reports serialize identically. The fields of :class:`Report` are
+the one list of its keys: the serializer writes them in their order and the
+parser reads them back by name. Floats are written in their shortest
+round-trip form (Python's ``repr``), which reads back as the same binary64
+value; a NaN or an infinity is refused with ``ValueError``. numpy booleans
+and integers are written as their Python values, and any other type the
+encoder does not know is refused with ``TypeError``.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,23 +42,11 @@ def _plain(obj):
 
 def serialize_report(report: Report, indent: int = 2) -> str:
     """Render a report as deterministic JSON text."""
-    payload = {
-        "command": report.command,
-        "inputs": report.inputs,
-        "verdicts": report.verdicts,
-        "timings": report.timings,
-        "tolerances_used": report.tolerances_used,
-    }
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
     return json.dumps(payload, indent=indent, allow_nan=False, default=_plain)
 
 
 def parse_report(text: str) -> Report:
     """Inverse of :func:`serialize_report`."""
     obj = json.loads(text)
-    return Report(
-        command=obj["command"],
-        inputs=obj["inputs"],
-        verdicts=obj["verdicts"],
-        timings=obj["timings"],
-        tolerances_used=obj["tolerances_used"],
-    )
+    return Report(**{f.name: obj[f.name] for f in fields(Report)})

@@ -15,11 +15,11 @@ factorization of T; the relative trial calls ``_error_bound_lambda2_zero``
 on its pair; a gamma-continuity sequence factors T once, solves for the
 S_alpha direction once (``generators._s_alpha_direction``) and runs
 ``_gamma_continuity`` on one pair per step, each built on that
-factorization of T. The axiom trial hands the |T'| it measured to
-``pinv._axioms``. The Neumann trial measures the series against the
-factorization of S that ``perturb._neumann`` returns, and the
-reverse-order trial reads the rank and range basis of FG and the range
-basis of F from the factorizations ``reverse_order._reverse_order``
+factorization of T. The axiom trial hands ``pinv._axioms`` the |T| of its
+factorization and the |T'| it measured. The Neumann trial measures the
+series against the factorization of S that ``perturb._neumann`` returns,
+and the reverse-order trial reads the rank and range basis of FG and the
+range basis of F from the factorizations ``reverse_order._reverse_order``
 returns. An operator is factored twice only in a relative trial with
 S = 0, where T+S is T. Each value equals, bit for bit, what the public
 route would return.
@@ -135,7 +135,7 @@ def suite_mp_axioms(trials, max_dim, seed, tol: Tolerances | None = None):
         # measured, not read as 1 / gamma: worst_gamma_identity_dev tests |T'| gamma = 1
         norm_td = spectral_norm(pr.pinv)
         scale = max(1.0, norm_t, norm_td)
-        ax = _axioms(t, pr.pinv, norm_td, tol)
+        ax = _axioms(t, pr.pinv, norm_t, norm_td, tol)
         worst_axiom = max(
             ax.residual_tTt, ax.residual_tdTtd, ax.residual_sym1, ax.residual_sym2
         ) / scale
@@ -400,7 +400,7 @@ def suite_typo_regressions(seed, tol: Tolerances | None = None):
     s = random_relative_perturbation(t, 0.4, int(rng.integers(0, 2**62)))
     pair = _Pair(t, s, tol)
     td = pair.pr_t.pinv
-    intro_inner_dim = (np.eye(5, dtype=np.complex128) + td @ s).shape[0]
+    intro_inner_dim = (np.eye(5, dtype=td.dtype) + td @ s).shape[0]
     ill_formed = td.shape[1] != intro_inner_dim
 
     res = _update_relative(pair, 0.4, 0.0)

@@ -298,19 +298,22 @@ def test_shifted_solve_skips_only_the_singularity_check(norm_x):
     x *= norm_x / spectral_norm(x) if norm_x else 0.0
     a, b = np.eye(7) + x, random_complex(rng, 7, 3)
     norm = spectral_norm(x)
-    assert np.array_equal(linalg._solve_shifted(a, b, norm, DEFAULT_TOL),
+    assert np.array_equal(linalg._solve_shifted(x, b, norm, DEFAULT_TOL),
                           pinvperturb.solve_square(a, b))
-    assert np.array_equal(linalg._solve_shifted(a, b.T, norm, DEFAULT_TOL, right=True),
+    assert np.array_equal(linalg._solve_shifted(x, b.T, norm, DEFAULT_TOL, right=True),
                           linalg.solve_from_right(b.T, a))
 
 
-def test_shifted_solve_of_a_singular_matrix_refuses_as_solve_square_does():
+def test_shifted_solve_of_a_singular_shift_is_an_invariant_violation():
+    # every caller's theorem makes I + X invertible, so a singular one is a
+    # violated invariant; the message keeps the singular solve's own text
     x = -np.diag([1.0, 0.5, 0.25])  # |X| = 1: Weyl proves nothing, I + X is singular
-    with pytest.raises(pinvperturb.SingularMatrixError) as shifted:
-        linalg._solve_shifted(np.eye(3) + x, np.eye(3), 1.0, DEFAULT_TOL)
+    with pytest.raises(pinvperturb.InvariantViolation) as shifted:
+        linalg._solve_shifted(x, np.eye(3), 1.0, DEFAULT_TOL)
     with pytest.raises(pinvperturb.SingularMatrixError) as exact:
         pinvperturb.solve_square(np.eye(3) + x, np.eye(3))
-    assert str(shifted.value) == str(exact.value)
+    assert str(shifted.value).endswith(str(exact.value))
+    assert shifted.value.__cause__.smallest_sigma == exact.value.smallest_sigma
 
 
 def _bounds_residual_builds(tmp_path, t, s):

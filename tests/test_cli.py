@@ -1,8 +1,12 @@
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pinvperturb import cli
 from pinvperturb import (
     GenSpec,
     HypothesisRefusal,
@@ -16,6 +20,7 @@ from pinvperturb import (
     write_matrix,
 )
 from pinvperturb.cli import cli_dispatch
+from pinvperturb.linalg import Tolerances
 from pinvperturb.report import Report, parse_report, serialize_report
 from conftest import rank_jump_pair
 
@@ -250,6 +255,19 @@ class TestBoundsAndRol:
         assert verdicts["converged"] is True
         assert verdicts["ratio"] == pytest.approx(0.2)
 
+    def test_neumann_refusal_names_s_minus_t(self, tmp_path, capsys):
+        # the user's S is the target; the refused quantity is |(S - T)T'|
+        t_path, s_path = str(tmp_path / "w.mtx"), str(tmp_path / "g.mtx")
+        write_matrix(random_operator(GenSpec(3, 5, 3, 0.5, 1.5, 0)), t_path)
+        write_matrix(random_operator(GenSpec(3, 5, 3, 0.5, 1.5, 1)), s_path)
+        code, out, _ = run_cli(capsys, "--json", "update", t_path, s_path,
+                               "--method", "neumann")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["condition"] == "norm_STd"
+        assert error["message"].startswith(
+            "Neumann inversion (with S − T as the perturbation) refused: ‖ST†‖ = ")
+
     def test_update_relative(self, tmp_path, capsys):
         t_path, s_path = str(tmp_path / "tr.mtx"), str(tmp_path / "sr.mtx")
         write_matrix(np.array([[1.0, 0.0]]), t_path)
@@ -406,6 +424,44 @@ class TestToleranceConfiguration:
             capsys, "--json", "--margin", "1e-9", "pinv", fixtures["t"]
         )
         assert json.loads(out)["tolerances_used"]["margin_strict"] == 1e-9
+
+    @pytest.mark.parametrize("variable, field", [
+        ("PINVPERTURB_TOL_ABS", "eq_abs"), ("PINVPERTURB_TOL_REL", "eq_rel"),
+        ("PINVPERTURB_RANK_REL", "rank_rel"), ("PINVPERTURB_MARGIN", "margin_strict")])
+    def test_each_tolerance_reads_its_environment_variable(self, fixtures, capsys,
+                                                           monkeypatch, variable, field):
+        monkeypatch.setenv(variable, "1e-9")
+        code, out, _ = run_cli(capsys, "--json", "pinv", fixtures["t"])
+        assert code == 0
+        used = json.loads(out)["tolerances_used"]
+        assert used == {**dataclasses.asdict(Tolerances()), field: 1e-9}
+
+    def test_help_prints_the_default_of_each_tolerance(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        defaults = Tolerances()
+        for flag, field in [("--tol-abs", "eq_abs"), ("--tol-rel", "eq_rel"),
+                            ("--rank-rel", "rank_rel"), ("--margin", "margin_strict")]:
+            # the flag's own help line, after the usage line
+            entry = text.rsplit(f"{flag} ", 1)[1].split(" --", 1)[0]
+            assert f"(default {getattr(defaults, field)})" in entry
+
+    def test_cli_names_each_tolerance_only_in_its_table(self):
+        # one table gives each field its flag, help and environment variable
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        names = {f.name for f in dataclasses.fields(Tolerances)}
+        [table] = [node for node in tree.body if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "_TOLERANCE_FLAGS"]
+
+        def named(node):
+            name = (node.value if isinstance(node, ast.Constant)
+                    else getattr(node, "attr", getattr(node, "arg", getattr(node, "id", None))))
+            return name if name in names else None
+
+        everywhere = [name for node in ast.walk(tree) if (name := named(node))]
+        assert sorted(everywhere) == sorted(
+            name for node in ast.walk(table) if (name := named(node))) == sorted(names)
 
     @pytest.mark.parametrize("command", [["check"], ["update", "--method", "stewart"]])
     @pytest.mark.parametrize("source", ["--tol-abs", "--tol-rel",

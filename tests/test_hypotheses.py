@@ -227,17 +227,17 @@ class TestScaleInvariance:
         assert not check_stewart_hypotheses(scale * t, scale * s).verdict_stewart
 
 
-def _call_sites(is_site):
-    """``(module, enclosing function, condition)`` of every call in the
-    package whose callee ``is_site`` accepts; the condition is None when it
-    is not a literal ``condition=`` keyword."""
+def _sites(is_site):
+    """``(module, enclosing function, condition)`` of every node in the
+    package that ``is_site`` accepts; the condition is None unless the node
+    is a call with a literal ``condition=`` keyword."""
     sites = Counter()
 
     def visit(node, module, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and is_site(node.func):
-            condition = next((kw.value.value for kw in node.keywords
+        if is_site(node):
+            condition = next((kw.value.value for kw in getattr(node, "keywords", ())
                               if kw.arg == "condition" and isinstance(kw.value, ast.Constant)),
                              None)
             sites[module, func, condition] += 1
@@ -247,6 +247,16 @@ def _call_sites(is_site):
     for path in sorted(Path(pinvperturb.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     return sites
+
+
+def _call_sites(is_site):
+    """The :func:`_sites` of every call whose callee ``is_site`` accepts."""
+    return _sites(lambda node: isinstance(node, ast.Call) and is_site(node.func))
+
+
+def _reads(attr):
+    """The :func:`_sites` that read the attribute ``attr``."""
+    return _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
 def _refusal_sites(exception="HypothesisRefusal"):
@@ -271,13 +281,14 @@ def test_refusals_are_built_only_where_no_shared_condition_applies():
 def test_post_conditions_are_worded_only_on_the_pair():
     # every closeness and certified-bound check raises through
     # linalg._confirm; the other sites state a failure of their own: the
-    # inclusion routes disagreeing, a rank, the singular solve of the closed
-    # form and a Neumann order
+    # inclusion routes disagreeing, a rank, a singular shift I + X (of the
+    # closed form, the Stewart left form or the lambda2 = 0 inverse) and a
+    # Neumann order
     assert _refusal_sites("InvariantViolation") == Counter({
         ("hypotheses", "_exact", None): 1,
-        ("hypotheses", "closed_form", None): 1,
         ("hypotheses", "keeps_rank", None): 1,
         ("linalg", "_confirm", None): 1,
+        ("linalg", "_solve_shifted", None): 1,
         ("perturb", "_replay_orders", None): 1,
         ("reverse_order", "_reverse_order", None): 1,
     })
@@ -292,6 +303,35 @@ def test_equality_slacks_are_built_at_known_sites():
         ("linalg", "_check_orthonormal", None): 1,
         ("hypotheses", "_exact", None): 1,
         ("hypotheses", "_relative_threshold", None): 1,
+    })
+
+
+def test_the_working_dtype_is_named_only_where_data_enters():
+    # as_matrix decides the representation, and every other matrix takes the
+    # dtype of one it holds, except where outside data enters (spectral_norm,
+    # mat_close's _near, principal_angle_gap's bases, the least-squares
+    # vector, mmio) or a constructor emits a matrix (random_operator at rank 0)
+    assert _reads("complex128") == Counter({
+        ("linalg", "as_matrix", None): 1,
+        ("linalg", "spectral_norm", None): 2,
+        ("linalg", "_near", None): 2,
+        ("linalg", "principal_angle_gap", None): 4,
+        ("pinv", "least_squares_min_norm", None): 1,
+        ("generators", "random_operator", None): 1,
+        ("mmio", "_zeros", None): 1,
+        ("mmio", "_read_bulk", None): 2,
+    })
+    for module in ("hypotheses", "perturb", "reverse_order", "verify"):
+        path = Path(pinvperturb.__file__).with_name(f"{module}.py")
+        assert "complex128" not in path.read_text(encoding="utf-8")
+
+
+def test_the_rank_cutoff_is_written_once():
+    # every rank decision, the singularity test of a solve included, reads
+    # linalg._cutoff; Tolerances only validates rank_rel
+    assert _reads("rank_rel") == Counter({
+        ("linalg", "_cutoff", None): 1,
+        ("linalg", "__post_init__", None): 1,
     })
 
 

@@ -243,7 +243,7 @@ def test_verification_run():
     # null bases and bounds from factorizations they already have, the
     # Stewart trial reads gamma(T) from its factorization, and the update
     # trials run each route on the pair they built; the axiom trial reads
-    # the |T'| it measured, the Neumann trial measures the series against
+    # |T| from its factorization and the |T'| it measured, the Neumann trial measures the series against
     # the factorization of S its route took, and the reverse-order trial
     # reads the rank and range bases of FG and F from those its route
     # took; inclusions, orthonormality, mat_close and the Neumann stopping
@@ -251,7 +251,7 @@ def test_verification_run():
     # checks singularity; every norm is a Gram eigenvalue, and the
     # relative and Neumann trials take no SVD of their pair's S or ST',
     # which only the sampler reads
-    assert costs(run_verification, 20, 0) == (546, 1085)
+    assert costs(run_verification, 20, 0) == (546, 1066)
 
 
 def test_verify_update_trials_factor_each_operator_once():

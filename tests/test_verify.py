@@ -132,6 +132,15 @@ def test_run_verification_refuses_invalid_sizes(monkeypatch, kwargs, name):
         verify.run_verification(**kwargs)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_one_trial_run_passes(seed):
+    # no invariant fails at these seeds, but one Stewart trial rarely
+    # exercises its bound to best_bound_exercise_ratio >= EXERCISE_RATIO
+    # (0.178 and 0.120 against 0.25), so the run reports a failure
+    assert verify.run_verification(1, seed)[1]
+
+
 def test_every_pinned_constant_gates_a_suite():
     pinned = {name for name, value in vars(verify).items()
               if name.isupper() and isinstance(value, float)}
