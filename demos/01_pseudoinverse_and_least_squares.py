@@ -53,3 +53,14 @@ print("  projection onto N(T)  =", f"{np.linalg.norm(pr.pinv @ t @ x - x):.2e}")
 candidate = x + (np.eye(3) - pr.pinv @ t) @ rng.standard_normal(3)
 print("  |x| vs another minimizer:", f"{np.linalg.norm(x):.6f}",
       "<=", f"{np.linalg.norm(candidate):.6f}")
+
+# a real operator is worked on in real arithmetic: its pinv is a float64
+# array, and it matches the pinv of the same operator cast to complex
+# within rounding
+t_real = rng.standard_normal((5, 3))
+pinv_real = pseudoinverse(t_real).pinv
+pinv_cast = pseudoinverse(t_real.astype(np.complex128)).pinv
+print("\nreal operator: pinv dtype", pinv_real.dtype, "| complex cast:", pinv_cast.dtype)
+gap = spectral_norm(pinv_real - pinv_cast)
+print("  |pinv(T) - pinv(T as complex)| =", f"{gap:.2e}")
+assert gap <= 1e-12 * spectral_norm(pinv_real)

@@ -22,8 +22,8 @@ __version__ = "0.2.0"
 _PUBLIC = {
     "cli": (),
     "errors": ("DecompositionError", "HypothesisRefusal", "InvariantViolation",
-               "MatrixMarketError", "PinvPerturbError", "ShapeMismatchError",
-               "SingularMatrixError"),
+               "MatrixMarketError", "OutOfRangeError", "PinvPerturbError",
+               "ShapeMismatchError", "SingularMatrixError"),
     "generators": ("GenSpec", "adversarial_pair", "commute_identity_check", "haar_unitary",
                    "random_contraction", "random_operator", "random_relative_perturbation",
                    "s_alpha"),

@@ -3,8 +3,12 @@
 Subcommands mirror the library surface: ``pinv``, ``check``, ``update``,
 ``bounds``, ``rol``, ``gen``, and ``verify``. Every run prints a structured
 report (JSON under ``--json``) and exits 0 on success, 1 on a hypothesis
-refusal or verification failure, 2 on usage or I/O errors and on a
-decomposition that does not converge (``DecompositionError``). Each field
+refusal or verification failure, 2 on usage or I/O errors, on a
+decomposition that does not converge (``DecompositionError``) and on a
+result outside the floating-point range (``OutOfRangeError``). Under
+``--json``, the ``inputs`` of ``pinv``, ``check``, ``update``, ``bounds`` and
+``rol`` name the ``arithmetic``, ``real`` or ``complex``, that the dtypes of
+the matrices read decided (see ``linalg.as_matrix``). Each field
 of ``Tolerances`` has its flag in ``_TOLERANCE_FLAGS``; a flag, else the
 environment variable ``PINVPERTURB_`` plus the flag's name in upper case
 (PINVPERTURB_TOL_ABS, ...), overrides the default that ``--help`` prints.
@@ -42,6 +46,12 @@ _TOLERANCE_FLAGS = (
     ("rank_rel", "--rank-rel", "relative rank cutoff factor"),
     ("margin_strict", "--margin", "strictness margin for norm conditions"),
 )
+
+
+def _arithmetic(*mats) -> str:
+    """The field a command computes in: complex when any matrix read is
+    complex, as ``linalg._pair`` promotes a mixed pair, else real."""
+    return "complex" if any(m.dtype.kind == "c" for m in mats) else "real"
 
 
 class _Files:
@@ -170,7 +180,7 @@ def _cmd_pinv(args, tol, files):
         files.write(pr.pinv, args.output, format=args.format)
     report = Report(
         command="pinv",
-        inputs={"t": args.t, "output": args.output},
+        inputs={"t": args.t, "output": args.output, "arithmetic": _arithmetic(t)},
         verdicts={
             "rows": t.shape[0],
             "cols": t.shape[1],
@@ -191,7 +201,8 @@ def _cmd_check(args, tol, files):
     s = files.read(args.s)
     rep = check_stewart_hypotheses(t, s, tol)
     any_certified = rep.verdict_stewart or rep.verdict_norm_gamma or rep.verdict_relative
-    report = Report(command="check", inputs={"t": args.t, "s": args.s}, verdicts=asdict(rep))
+    inputs = {"t": args.t, "s": args.s, "arithmetic": _arithmetic(t, s)}
+    report = Report(command="check", inputs=inputs, verdicts=asdict(rep))
     return report, 0 if any_certified else 1
 
 
@@ -200,7 +211,7 @@ def _cmd_update(args, tol, files):
 
     t = files.read(args.t)
     s = files.read(args.s)
-    inputs = {"t": args.t, "s": args.s, "method": args.method}
+    inputs = {"t": args.t, "s": args.s, "method": args.method, "arithmetic": _arithmetic(t, s)}
     verdicts = {}
     if args.method == "stewart":
         res = update_stewart(t, s, tol)
@@ -268,7 +279,8 @@ def _cmd_bounds(args, tol, files):
 
     failures = [v for v in verdicts.values()
                 if isinstance(v, dict) and v["applicable"] and not v["dominates"]]
-    report = Report(command="bounds", inputs={"t": args.t, "s": args.s}, verdicts=verdicts)
+    inputs = {"t": args.t, "s": args.s, "arithmetic": _arithmetic(pair.mt)}
+    report = Report(command="bounds", inputs=inputs, verdicts=verdicts)
     return report, 1 if failures else 0
 
 
@@ -288,7 +300,8 @@ def _cmd_rol(args, tol, files):
         files.write(fp.pinv_reverse, args.output, format=args.format)
     report = Report(
         command="rol",
-        inputs={"f": args.f, "g": args.g, "output": args.output},
+        inputs={"f": args.f, "g": args.g, "output": args.output,
+                "arithmetic": _arithmetic(f, g)},
         verdicts={
             "product_shape": list(fp.a.shape),
             "max_pairwise_discrepancy": disc,

@@ -25,6 +25,11 @@ class SingularMatrixError(PinvPerturbError, ValueError):
         self.smallest_sigma = smallest_sigma
 
 
+class OutOfRangeError(PinvPerturbError, ValueError):
+    """A result would leave the floating-point range, such as a pseudoinverse
+    whose largest singular value ``1 / sigma_r`` overflows."""
+
+
 class HypothesisRefusal(PinvPerturbError, ValueError):
     """A theorem hypothesis fails; the closed-form route is refused."""
 

@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic and rank-revealing decompositions.
+"""Dense real and complex matrix arithmetic and rank-revealing decompositions.
 
 Everything downstream (pseudoinverse engine, hypothesis checkers, updates)
 is built on the handful of primitives in this module. All functions are
@@ -6,8 +6,13 @@ pure: inputs are never mutated and results are freshly allocated.
 
 Matrices are plain ``numpy.ndarray`` values; :func:`as_matrix` is the single
 entry point that enforces the representation (2-d, positive dimensions,
-finite entries, complex128), so it alone decides the working dtype; any
-other matrix built here or downstream takes the dtype of one it was given.
+finite entries, float64 or complex128). The input's dtype decides the
+working field, through :func:`_field`: a complex array is worked on in
+complex128 and any other in float64, so a real operator is factored and
+normed in real arithmetic. The rule reads the dtype, never the values: a
+complex array with zero imaginary parts stays complex. Two matrices that
+meet in one computation share a field (:func:`_same_field`); any other
+matrix built here or downstream takes the dtype of one it was given.
 """
 
 import math
@@ -28,10 +33,23 @@ _EPS = float(np.finfo(np.float64).eps)
 _SQ_LO, _SQ_HI = 2.0**-960, 2.0**960
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a validated 2-d complex128 matrix.
+def _field(m: np.ndarray) -> type:
+    """The working dtype of an array, read from its dtype alone: complex128
+    for a complex array, float64 for a real, integer or boolean one."""
+    return np.complex128 if m.dtype.kind == "c" else np.float64
 
-    Real input is promoted to complex with zero imaginary part. Raises
+
+def _array(a) -> np.ndarray:
+    """``a`` as an array of its working dtype, copied only when converted."""
+    m = np.asarray(a)
+    return m.astype(_field(m), copy=False)
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce ``a`` to a validated 2-d matrix, always a fresh copy.
+
+    A complex array becomes complex128 and any other (real, integer,
+    boolean) float64; the dtype decides, not the values. Raises
     :class:`ShapeMismatchError` for non-2-d or empty shapes and
     ``ValueError`` for non-finite entries.
     """
@@ -41,18 +59,26 @@ def as_matrix(a) -> np.ndarray:
     rows, cols = m.shape
     if rows < 1 or cols < 1:
         raise ShapeMismatchError(f"matrix dimensions must be positive, got {m.shape}")
-    m = m.astype(np.complex128)
+    m = m.astype(_field(m))
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
+def _same_field(ma: np.ndarray, mb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated matrices that meet in one computation, in one field: a real
+    one beside a complex one is promoted to complex."""
+    if ma.dtype == mb.dtype:
+        return ma, mb
+    return ma.astype(np.complex128, copy=False), mb.astype(np.complex128, copy=False)
+
+
 def _pair(t, s):
-    """Validate an operator and its perturbation: equal-shape complex matrices."""
+    """Validate an operator and its perturbation: equal-shape matrices in one field."""
     mt, ms = as_matrix(t), as_matrix(s)
     if mt.shape != ms.shape:
         raise ShapeMismatchError(f"T and S must have equal shapes, got {mt.shape} vs {ms.shape}")
-    return mt, ms
+    return _same_field(mt, ms)
 
 
 @dataclass(frozen=True)
@@ -194,22 +220,25 @@ def spectral_norm(a) -> float:
     ``|A|_2 <= |A|_F``, the error of the eigenvalue is also at most
     ``(sqrt(2) gamma_{p+2} + c eps) |A|_F^2``, and the Gram diagonal holds
     the squared column norms to ``gamma_p`` relative, so the computed norm
-    stays within the bounds of :func:`_norm_bounds`.
+    stays within the bounds of :func:`_norm_bounds`. A real matrix is the
+    complex one with zero imaginary parts, and its real inner products round
+    no worse than those complex ones, so the same bounds cover it.
 
     Only the largest singular value is read this way: factorizations,
     ranks, gamma and every small singular value take an SVD.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    m = _array(a)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.size == 0:
         return 0.0
+    # the real and imaginary parts of a complex matrix, the entries of a real one
     parts = np.ascontiguousarray(m).view(np.float64)
     big = float(np.abs(parts).max())
     if big == 0.0:
         return 0.0
     e = math.frexp(big)[1]
-    x = np.ldexp(parts, -e).view(np.complex128)
+    x = np.ldexp(parts, -e).view(m.dtype)
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
     try:
         root = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
@@ -275,7 +304,9 @@ def _norm_bounds(m: np.ndarray) -> tuple[float, float]:
     decide nothing; a zero matrix gets ``(0, 0)``.
     """
     # einsum forms no squared copy of m and warns of no overflow
-    col = np.einsum("ij,ij->j", m.real, m.real) + np.einsum("ij,ij->j", m.imag, m.imag)
+    col = np.einsum("ij,ij->j", m.real, m.real)
+    if m.dtype.kind == "c":
+        col += np.einsum("ij,ij->j", m.imag, m.imag)
     total = float(np.einsum("j->", col))
     if not _SQ_LO <= total <= _SQ_HI:
         return (0.0, 0.0) if total == 0.0 and not m.any() else (0.0, math.inf)
@@ -314,8 +345,7 @@ def _near(a, b, tol: Tolerances, bound: float = 0.0, norm_b: float | None = None
     norm; otherwise ``|a - b|`` and the scale are measured and decide, as
     the exact test does.
     """
-    ma = np.asarray(a, dtype=np.complex128)
-    mb = np.asarray(b, dtype=np.complex128)
+    ma, mb = _array(a), _array(b)
     diff = ma - mb
     scale_lo = max(_norm_bounds(ma)[0], _norm_bounds(mb)[0]) if norm_b is None else norm_b
     if _within(_norm_bounds(diff)[1], bound, scale_lo, tol):
@@ -462,8 +492,7 @@ def principal_angle_gap(basis_a, basis_b, tol: Tolerances | None = None) -> floa
     the trivial subspace).
     """
     tol = _tol(tol)
-    ba = np.asarray(basis_a, dtype=np.complex128)
-    bb = np.asarray(basis_b, dtype=np.complex128)
+    ba, bb = _array(basis_a), _array(basis_b)
     if ba.ndim != 2 or bb.ndim != 2:
         raise ShapeMismatchError("bases must be 2-d arrays of column vectors")
     if ba.shape[0] != bb.shape[0]:
@@ -473,6 +502,6 @@ def principal_angle_gap(basis_a, basis_b, tol: Tolerances | None = None) -> floa
     _check_orthonormal(ba, tol, "first basis")
     _check_orthonormal(bb, tol, "second basis")
     n = ba.shape[0]
-    pa = ba @ ba.conj().T if ba.shape[1] else np.zeros((n, n), dtype=np.complex128)
-    pb = bb @ bb.conj().T if bb.shape[1] else np.zeros((n, n), dtype=np.complex128)
+    pa = ba @ ba.conj().T if ba.shape[1] else np.zeros((n, n), dtype=ba.dtype)
+    pb = bb @ bb.conj().T if bb.shape[1] else np.zeros((n, n), dtype=bb.dtype)
     return spectral_norm(pa - pb)

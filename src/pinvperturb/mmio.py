@@ -13,6 +13,10 @@ not accept -- a comment further down, non-ASCII text, a malformed or
 out-of-range token, a wrong count -- is handed to a line-by-line scanner, which returns the same matrix or raises the
 :class:`MatrixMarketError` that names the offending line. Non-finite values
 (``nan``, ``inf``, ``1e400``) are refused on reading as on writing.
+
+The field decides the dtype of the matrix read, on both paths: float64 for
+a ``real`` file and complex128 for a ``complex`` one, even when every
+imaginary part is zero.
 """
 
 import math
@@ -24,6 +28,7 @@ from .errors import MatrixMarketError
 from .linalg import as_matrix
 
 _BANNER = "%%matrixmarket"
+_DTYPES = {"real": np.float64, "complex": np.complex128}
 
 # The ASCII control characters that end a line for str.splitlines, and those
 # that str.split treats as whitespace; the only other one is the space, 32
@@ -43,6 +48,12 @@ def _parse_float(token: str, path, lineno) -> float:
     if not math.isfinite(value):
         raise MatrixMarketError(f"non-finite value {token!r}", path=path, line=lineno)
     return value
+
+
+def _parse_value(tokens, field, path, lineno):
+    """The value of an entry's value tokens: a float, or a complex number."""
+    re = _parse_float(tokens[0], path, lineno)
+    return complex(re, _parse_float(tokens[1], path, lineno)) if field == "complex" else re
 
 
 def _parse_index(token: str, path, lineno) -> int:
@@ -77,11 +88,11 @@ def _parse_size(tokens, count, path, lineno):
     return values
 
 
-def _zeros(rows, cols, path, lineno):
-    """The dense matrix a size line names, refused at that line if numpy cannot
-    allocate it."""
+def _zeros(rows, cols, field, path, lineno):
+    """The dense matrix of ``field`` a size line names, refused at that line if
+    numpy cannot allocate it."""
     try:
-        return np.zeros((rows, cols), dtype=np.complex128)
+        return np.zeros((rows, cols), dtype=_DTYPES[field])
     except (ValueError, MemoryError):
         raise MatrixMarketError(
             f"cannot allocate a {rows} x {cols} matrix", path=path, line=lineno
@@ -207,13 +218,13 @@ def _read_bulk(body: str | None, fmt: str, field: str):
     if not np.all(np.isfinite(values)):
         return None
     # viewing re/im pairs as complex keeps every part bit-exact, -0.0 included
-    flat = values.view(np.complex128) if per_value == 2 else values.astype(np.complex128)
+    flat = values.view(_DTYPES[field])
     if fmt == "array":
         return np.ascontiguousarray(flat.reshape(cols, rows).T)
     if np.any((i < 1) | (i > rows) | (j < 1) | (j > cols)):
         return None
     try:
-        mat = _zeros(rows, cols, None, None)
+        mat = _zeros(rows, cols, field, None, None)
     except MatrixMarketError:
         return None
     with np.errstate(over="ignore"):
@@ -249,7 +260,7 @@ def _scan(lines, fmt: str, field: str, path) -> np.ndarray:
                 path=path,
                 line=entries[need][0],
             )
-        mat = _zeros(rows, cols, path, size_lineno)
+        mat = _zeros(rows, cols, field, path, size_lineno)
         for k, (no, tokens) in enumerate(entries):
             if len(tokens) != values_per_entry:
                 raise MatrixMarketError(
@@ -257,10 +268,8 @@ def _scan(lines, fmt: str, field: str, path) -> np.ndarray:
                     path=path,
                     line=no,
                 )
-            re = _parse_float(tokens[0], path, no)
-            im = _parse_float(tokens[1], path, no) if field == "complex" else 0.0
             # array entries are stored column-major
-            mat[k % rows, k // rows] = complex(re, im)
+            mat[k % rows, k // rows] = _parse_value(tokens, field, path, no)
         return mat
 
     rows, cols, nnz = _parse_size(size_tokens, 3, path, size_lineno)
@@ -276,7 +285,7 @@ def _scan(lines, fmt: str, field: str, path) -> np.ndarray:
             path=path,
             line=entries[nnz][0],
         )
-    mat = _zeros(rows, cols, path, size_lineno)
+    mat = _zeros(rows, cols, field, path, size_lineno)
     for no, tokens in entries:
         if len(tokens) != 2 + values_per_entry:
             raise MatrixMarketError(
@@ -293,11 +302,10 @@ def _scan(lines, fmt: str, field: str, path) -> np.ndarray:
                 path=path,
                 line=no,
             )
-        re = _parse_float(tokens[2], path, no)
-        im = _parse_float(tokens[3], path, no) if field == "complex" else 0.0
+        value = _parse_value(tokens[2:], field, path, no)
         # duplicates accumulate, matching common reference parsers
         with np.errstate(over="ignore"):
-            total = mat[i - 1, j - 1] + complex(re, im)
+            total = mat[i - 1, j - 1] + value
         if not np.isfinite(total):
             raise MatrixMarketError(
                 f"duplicate entries at ({i}, {j}) sum to a non-finite value",
@@ -309,7 +317,8 @@ def _scan(lines, fmt: str, field: str, path) -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Parse a Matrix Market file into a complex dense matrix.
+    """Parse a Matrix Market file into a dense matrix: float64 for a ``real``
+    file, complex128 for a ``complex`` one.
 
     Raises :class:`MatrixMarketError` with a line number for malformed
     headers, unsupported field/symmetry classes, out-of-range coordinate
@@ -337,7 +346,7 @@ def write_matrix(m, path, format: str = "array") -> None:
         raise ValueError(f"format must be 'array' or 'coordinate', got {format!r}")
     mat = as_matrix(m)
     rows, cols = mat.shape
-    field = "complex" if np.any(mat.imag != 0.0) else "real"
+    field = "complex" if mat.dtype.kind == "c" and np.any(mat.imag != 0.0) else "real"
     entry = "%.17g %.17g\n" if field == "complex" else "%.17g\n"
 
     values = mat.T.ravel()  # column-major, the entry order of both formats

@@ -7,15 +7,17 @@ space. Also provides the defining-axiom checker used as an independent
 oracle throughout the test suite.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import OutOfRangeError, ShapeMismatchError
 from .linalg import (
     Tolerances,
     _confirm_near,
+    _array,
     _factor,
     _svd,
     _tol,
@@ -100,14 +102,20 @@ def pseudoinverse(t, tol: Tolerances | None = None) -> PinvResult:
 
     Inverts singular values above the cutoff and zeroes the rest, so the
     result maps the range onto the row space and kills the complement.
+    Raises :class:`OutOfRangeError` before it divides when ``1 / sigma_r``,
+    the norm of the result, overflows (an operator of subnormal scale).
     """
     tol = _tol(tol)
     m = as_matrix(t)
     u, s, v = _factor(m)
     r = numerical_rank(s, m.shape, tol)
     if r:
-        pinv = (v[:, :r] / s[:r]) @ u[:, :r].conj().T
         gamma = float(s[r - 1])
+        if not math.isfinite(1.0 / gamma):
+            raise OutOfRangeError(
+                f"pseudoinverse of a {m.shape[0]} x {m.shape[1]} operator is out of range:"
+                f" 1/sigma_r overflows for sigma_r = {gamma:.6g} (rank {r})")
+        pinv = (v[:, :r] / s[:r]) @ u[:, :r].conj().T
     else:
         pinv = np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
         gamma = 0.0
@@ -186,7 +194,7 @@ def least_squares_min_norm(t, y, tol: Tolerances | None = None) -> np.ndarray:
     smallest norm (it is orthogonal to the null space of ``T``).
     """
     m = as_matrix(t)
-    vec = np.asarray(y, dtype=np.complex128)
+    vec = _array(y)
     if vec.ndim != 1:
         raise ShapeMismatchError(f"expected a 1-d vector, got ndim={vec.ndim}")
     if vec.shape[0] != m.shape[0]:

@@ -23,6 +23,7 @@ from .errors import (
 from .linalg import (
     Tolerances,
     _confirm_near,
+    _same_field,
     _tol,
     adjoint,
     as_matrix,
@@ -47,11 +48,11 @@ class FactoredPinv:
 
 
 def _factors(f, g) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the factors F and G: matrices whose product FG is defined."""
+    """Validate the factors F and G: matrices in one field whose product FG is defined."""
     mf, mg = as_matrix(f), as_matrix(g)
     if mf.shape[1] != mg.shape[0]:
         raise ShapeMismatchError(f"factors do not conform: F is {mf.shape}, G is {mg.shape}")
-    return mf, mg
+    return _same_field(mf, mg)
 
 
 def check_rol_hypotheses(f, g, tol: Tolerances | None = None) -> bool:

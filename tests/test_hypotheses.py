@@ -307,23 +307,28 @@ def test_equality_slacks_are_built_at_known_sites():
 
 
 def test_the_working_dtype_is_named_only_where_data_enters():
-    # as_matrix decides the representation, and every other matrix takes the
-    # dtype of one it holds, except where outside data enters (spectral_norm,
-    # mat_close's _near, principal_angle_gap's bases, the least-squares
-    # vector, mmio) or a constructor emits a matrix (random_operator at rank 0)
+    # linalg._field decides the working dtype from the input's dtype alone,
+    # and _same_field promotes a real matrix that meets a complex one; every
+    # other matrix takes the dtype of one it holds, except where a Matrix
+    # Market field names it (mmio._DTYPES) or a constructor emits a complex
+    # matrix (random_operator at rank 0). float64 is also the type of eps,
+    # of spectral_norm's view of the entries and of the parsed values
     assert _reads("complex128") == Counter({
-        ("linalg", "as_matrix", None): 1,
-        ("linalg", "spectral_norm", None): 2,
-        ("linalg", "_near", None): 2,
-        ("linalg", "principal_angle_gap", None): 4,
-        ("pinv", "least_squares_min_norm", None): 1,
+        ("linalg", "_field", None): 1,
+        ("linalg", "_same_field", None): 2,
         ("generators", "random_operator", None): 1,
-        ("mmio", "_zeros", None): 1,
-        ("mmio", "_read_bulk", None): 2,
+        ("mmio", None, None): 1,
+    })
+    assert _reads("float64") == Counter({
+        ("linalg", None, None): 1,
+        ("linalg", "_field", None): 1,
+        ("linalg", "spectral_norm", None): 1,
+        ("mmio", None, None): 1,
+        ("mmio", "_read_bulk", None): 1,
     })
     for module in ("hypotheses", "perturb", "reverse_order", "verify"):
-        path = Path(pinvperturb.__file__).with_name(f"{module}.py")
-        assert "complex128" not in path.read_text(encoding="utf-8")
+        text = Path(pinvperturb.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+        assert "complex128" not in text and "float64" not in text
 
 
 def test_the_rank_cutoff_is_written_once():

@@ -58,7 +58,7 @@ def test_submodule_name_resolves_to_the_submodule(name):
 
 def test_all_is_the_table_once():
     names = pinvperturb.__all__
-    assert len(names) == len(set(names)) == 60
+    assert len(names) == len(set(names)) == 61
     assert names == sorted(names)
     assert set(names) <= set(dir(pinvperturb))
     assert set(SUBMODULES) <= set(dir(pinvperturb))

@@ -27,10 +27,24 @@ from conftest import random_complex
 
 
 class TestAsMatrix:
-    def test_promotes_real_and_int_to_complex(self):
-        m = as_matrix([[1, 2], [3, 4]])
-        assert m.dtype == np.complex128
-        np.testing.assert_array_equal(m.real, [[1, 2], [3, 4]])
+    def test_keeps_real_and_int_real(self):
+        # the dtype decides the field: a real or integer input is float64
+        for a in ([[1, 2], [3, 4]], np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32),
+                  np.array([[True, False], [False, True]])):
+            m = as_matrix(a)
+            assert m.dtype == np.float64
+            np.testing.assert_array_equal(m, np.asarray(a, dtype=np.float64))
+
+    def test_complex_stays_complex_even_with_zero_imaginary_parts(self):
+        for a in (np.eye(2, dtype=np.complex64), np.eye(2, dtype=np.complex128),
+                  [[1 + 0j, 2], [3, 4]]):
+            assert as_matrix(a).dtype == np.complex128
+
+    def test_returns_a_copy(self):
+        a = np.eye(2)
+        m = as_matrix(a)
+        m[0, 0] = 5.0
+        assert a[0, 0] == 1.0
 
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeMismatchError):
